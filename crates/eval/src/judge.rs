@@ -144,15 +144,6 @@ impl<'w> Judge<'w> {
         }
         p
     }
-
-    /// Overall (macro-averaged) benchmark precision.
-    pub fn benchmark_average(&self, knowledge: &Knowledge, sample: usize, seed: u64) -> f64 {
-        let per = self.benchmark_precision(knowledge, sample, seed);
-        if per.is_empty() {
-            return 0.0;
-        }
-        per.iter().map(|(_, p)| p.ratio()).sum::<f64>() / per.len() as f64
-    }
 }
 
 #[cfg(test)]

@@ -38,8 +38,6 @@ pub struct Knowledge {
     pairs: FxHashMap<(Symbol, Symbol), u32>,
     /// Σ_y n(x, y) per super-concept.
     super_totals: FxHashMap<Symbol, u32>,
-    /// Σ_x n(x, y) per sub-concept.
-    sub_totals: FxHashMap<Symbol, u32>,
     /// Σ n over all pairs.
     total: u64,
     /// Co-occurrence: #sentences where `a` and `b` were both extracted as
@@ -87,7 +85,6 @@ impl Knowledge {
         let is_new = *e == 0;
         *e += 1;
         *self.super_totals.entry(x).or_insert(0) += 1;
-        *self.sub_totals.entry(y).or_insert(0) += 1;
         self.total += 1;
         is_new
     }
@@ -105,8 +102,6 @@ impl Knowledge {
         *e = e.saturating_add(n);
         let sup = self.super_totals.entry(x).or_insert(0);
         *sup = sup.saturating_add(n);
-        let sub = self.sub_totals.entry(y).or_insert(0);
-        *sub = sub.saturating_add(n);
         self.total = self.total.saturating_add(n as u64);
         is_new
     }
@@ -191,11 +186,6 @@ impl Knowledge {
         self.super_totals.get(&x).copied().unwrap_or(0)
     }
 
-    /// Evidence mass of `y` as a sub-concept.
-    pub fn sub_total(&self, y: Symbol) -> u32 {
-        self.sub_totals.get(&y).copied().unwrap_or(0)
-    }
-
     /// `p(x)`: share of all evidence with `x` as the super-concept,
     /// ε-smoothed.
     pub fn p_super(&self, x: Symbol, eps: f64) -> f64 {
@@ -278,7 +268,6 @@ impl Knowledge {
             let (x, y) = (tr(x), tr(y));
             *self.pairs.entry((x, y)).or_insert(0) += n;
             *self.super_totals.entry(x).or_insert(0) += n;
-            *self.sub_totals.entry(y).or_insert(0) += n;
             self.total += n as u64;
         }
         for (&(x, a, b), &n) in &other.cooccur {

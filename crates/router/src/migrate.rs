@@ -28,7 +28,7 @@
 //! fleet is restarted in-process. Documented in DESIGN.md §18.
 
 use probase_serve::ServeState;
-use probase_store::{component_labels, export_component};
+use probase_store::{component_labels, LabelComponents};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -122,11 +122,18 @@ pub fn reconcile_fleet(states: &[Arc<ServeState>]) -> Result<ReconcileReport, St
     Ok(report)
 }
 
-/// Edge count of the component containing `label` on one shard.
+/// Edge count of the component containing `label` on one shard: the
+/// out-degrees of its nodes, since a component is closed under edges.
 fn component_edges(state: &ServeState, label: &str) -> usize {
     state.store().read(|g| {
-        let labels: HashSet<String> = component_labels(g, label).into_iter().collect();
-        export_component(g, &labels).edge_count()
+        let Some(&seed) = g.senses_of(label).first() else {
+            return 0;
+        };
+        LabelComponents::new(g)
+            .expand(seed)
+            .into_iter()
+            .map(|n| g.child_count(n))
+            .sum()
     })
 }
 

@@ -12,7 +12,10 @@
 //!    conceptualize priors are all functions of the weakly-connected
 //!    component around a label (reachability with Bayes normalization).
 //!    Assigning whole components keeps every such computation shard-local
-//!    and bit-identical to the single-node answer.
+//!    and bit-identical to the single-node answer. The components are
+//!    the ones `probase_store::component` defines; this module owns no
+//!    connectivity or graph-copy code of its own, so a shard copy keeps
+//!    the edge order every representation promises (`GraphView`).
 //!
 //! Placement is pure hashing: a component lands on
 //! `shard_of(min label in component)`. For most labels
@@ -22,7 +25,9 @@
 //! a front-end needs. The hash itself is a frozen FNV-1a so a restarted
 //! deployment re-derives the identical placement from the same graph.
 
-use probase_store::{pack, ConceptGraph, GraphView, NodeId};
+use probase_store::{
+    copy_graph, merge_subgraph, pack, ConceptGraph, GraphView, LabelComponents, NodeId,
+};
 use std::collections::HashMap;
 
 /// Frozen 64-bit FNV-1a over the label bytes. This function is part of
@@ -59,77 +64,35 @@ pub struct Partition {
 
 /// Split `graph` into `n` component-closed shards (see module docs).
 ///
-/// Deterministic: the same graph and `n` always produce byte-identical
-/// shard graphs (nodes inserted in `NodeId` order, edges in `edges()`
-/// order), so a restart that rebuilds the partition from the same
-/// snapshot re-creates the exact same layout. Generic over
-/// [`GraphView`], so a zero-copy packed snapshot partitions without
-/// being thawed first.
+/// Components come from [`LabelComponents::expand`], seeded from each
+/// unvisited node in id order; the shards are filled by [`copy_graph`]
+/// (nodes in `NodeId` order, edges in global insertion order). So the
+/// same graph and `n` always produce byte-identical shard graphs, a
+/// restart that rebuilds the partition from the same snapshot re-creates
+/// the exact same layout, and a packed snapshot partitions — without
+/// being thawed — into the same bytes as its thawed graph.
 pub fn partition<G: GraphView>(graph: &G, n: usize) -> Partition {
     let n = n.max(1);
-    let nodes: Vec<NodeId> = graph.nodes().collect();
-    let mut dsu = Dsu::new(nodes.len());
-
-    // Merge all senses of each label first (Property 2), then edge
-    // endpoints: the classes are exactly the label-graph components.
-    let mut first_of_label: HashMap<&str, usize> = HashMap::new();
-    for &node in &nodes {
-        let idx = node.0 as usize;
-        match first_of_label.entry(graph.label(node)) {
-            std::collections::hash_map::Entry::Occupied(e) => dsu.union(*e.get(), idx),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(idx);
-            }
-        }
-    }
-    for (from, to, _) in graph.edges() {
-        dsu.union(from.0 as usize, to.0 as usize);
-    }
-
-    // Canonical label per component: lexicographically smallest label.
-    let mut canonical: HashMap<usize, &str> = HashMap::new();
-    for &node in &nodes {
-        let root = dsu.find(node.0 as usize);
-        let label = graph.label(node);
-        match canonical.entry(root) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if label < *e.get() {
-                    e.insert(label);
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(label);
-            }
-        }
-    }
-
-    let mut shards: Vec<ConceptGraph> = (0..n).map(|_| ConceptGraph::new()).collect();
-    let mut home: Vec<usize> = vec![0; nodes.len()];
-    let mut mapped: Vec<Option<NodeId>> = vec![None; nodes.len()];
+    let mut components = LabelComponents::new(graph);
+    let mut home: Vec<usize> = vec![0; graph.node_count()];
     let mut exceptions: HashMap<String, usize> = HashMap::new();
-    for &node in &nodes {
-        let idx = node.0 as usize;
-        let shard = shard_of(canonical[&dsu.find(idx)], n);
-        home[idx] = shard;
-        mapped[idx] = Some(shards[shard].ensure_node(graph.label(node), graph.sense(node)));
-        let label = graph.label(node);
-        if shard_of(label, n) != shard {
-            exceptions.insert(label.to_string(), shard);
+    for node in graph.nodes() {
+        let members = components.expand(node);
+        // Canonical label per component: lexicographically smallest.
+        let Some(canonical) = members.iter().map(|&m| graph.label(m)).min() else {
+            continue;
+        };
+        let shard = shard_of(canonical, n);
+        for &m in &members {
+            home[m.index()] = shard;
+            let label = graph.label(m);
+            if shard_of(label, n) != shard {
+                exceptions.insert(label.to_string(), shard);
+            }
         }
     }
-    for (from, to, data) in graph.edges() {
-        let shard = home[from.0 as usize];
-        debug_assert_eq!(shard, home[to.0 as usize], "edge must not cross shards");
-        let (f, t) = (
-            mapped[from.0 as usize].expect("from mapped"),
-            mapped[to.0 as usize].expect("to mapped"),
-        );
-        shards[shard].add_evidence(f, t, data.count);
-        shards[shard].set_plausibility(f, t, data.plausibility);
-    }
-    for s in &mut shards {
-        s.rebuild_indexes();
-    }
+    let mut shards: Vec<ConceptGraph> = (0..n).map(|_| ConceptGraph::new()).collect();
+    copy_graph(graph, &mut shards, |node| Some(home[node.index()]));
     Partition { shards, exceptions }
 }
 
@@ -139,17 +102,8 @@ pub fn partition<G: GraphView>(graph: &G, n: usize) -> Partition {
 pub fn merge_shards(shards: &[ConceptGraph]) -> ConceptGraph {
     let mut out = ConceptGraph::new();
     for shard in shards {
-        let mut mapped: HashMap<NodeId, NodeId> = HashMap::new();
-        for node in shard.nodes() {
-            mapped.insert(node, out.ensure_node(shard.label(node), shard.sense(node)));
-        }
-        for (from, to, data) in shard.edges() {
-            let (f, t) = (mapped[&from], mapped[&to]);
-            out.add_evidence(f, t, data.count);
-            out.set_plausibility(f, t, data.plausibility);
-        }
+        merge_subgraph(&mut out, shard);
     }
-    out.rebuild_indexes();
     out
 }
 
@@ -185,34 +139,6 @@ pub fn canonical_bytes(graph: &ConceptGraph) -> Vec<u8> {
         canon.set_plausibility(f, t, plausibility);
     }
     pack(&canon).expect("canonical graph encodes").to_vec()
-}
-
-/// Union-find with path halving.
-struct Dsu {
-    parent: Vec<usize>,
-}
-
-impl Dsu {
-    fn new(n: usize) -> Dsu {
-        Dsu {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -50,7 +50,6 @@ fn fixture_graph() -> ConceptGraph {
         let n = g.ensure_node(label, 0);
         g.add_evidence(animal, n, count);
     }
-    g.rebuild_indexes();
     g
 }
 

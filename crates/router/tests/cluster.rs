@@ -73,7 +73,6 @@ fn fixture_graph() -> ConceptGraph {
     let china = g.ensure_node("China", 0);
     g.set_plausibility(country, china, 0.97);
     g.set_plausibility(animal, mammal, 0.9);
-    g.rebuild_indexes();
     g
 }
 
@@ -660,7 +659,6 @@ fn cross_shard_conceptualize_flags_the_max_k_slice_cap() {
         let c = g.ensure_node(child, 0);
         g.add_evidence(p, c, 2);
     }
-    g.rebuild_indexes();
 
     let p = partition(&g, 2);
     let table = RoutingTable::from_partition(&p);

@@ -8,8 +8,8 @@ use probase_router::{
     RoutingTable,
 };
 use probase_serve::{Client, Request, ServeConfig, Server};
-use probase_store::{ConceptGraph, SharedStore};
-use probase_testkit::prop::{check, int, string_of, vec_of};
+use probase_store::{pack, ConceptGraph, PackedGraph, SharedStore};
+use probase_testkit::prop::{check, check_with, int, string_of, vec_of};
 use probase_testkit::XorShift;
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +27,6 @@ fn graph_from_edges(edges: &[(u8, u8, u8)]) -> ConceptGraph {
         let t = g.ensure_node(&format!("c{to}"), 0);
         g.add_evidence(f, t, u32::from(count) + 1);
     }
-    g.rebuild_indexes();
     g
 }
 
@@ -44,15 +43,23 @@ fn edges(r: &mut XorShift, len: std::ops::Range<usize>) -> Vec<(u8, u8, u8)> {
 
 /// The acceptance property: for every generated graph and every
 /// shard count, merging the shards back together reproduces the
-/// unsharded graph byte-for-byte in canonical form.
+/// unsharded graph byte-for-byte in canonical form. A packed snapshot
+/// partitions into exactly the shard bytes of its thawed graph, and
+/// one shard is the input itself, insertion order included.
 #[test]
 fn shard_union_is_the_unsharded_graph() {
-    check(
+    // Insertion order c0→c1, c2→c3, c0→c3 is not the packed row order.
+    let explicit = vec![vec![(0, 1, 0), (2, 3, 0), (0, 3, 0)]];
+    check_with(
+        explicit,
         64,
         |r| edges(r, 0..96),
         |edges| {
             let g = graph_from_edges(&edges);
             let expected = canonical_bytes(&g);
+            let input = pack(&g).expect("encode");
+            let packed = PackedGraph::from_bytes(input.clone()).expect("validate");
+            let thawed = packed.unpack();
             for n in [1usize, 2, 4, 8] {
                 let p = partition(&g, n);
                 assert_eq!(p.shards.len(), n, "n={}", n);
@@ -63,6 +70,14 @@ fn shard_union_is_the_unsharded_graph() {
                     "shard union diverges from the unsharded graph at n={}",
                     n
                 );
+                let from_packed = partition(&packed, n);
+                let from_thawed = partition(&thawed, n);
+                for (a, b) in from_packed.shards.iter().zip(&from_thawed.shards) {
+                    assert_eq!(pack(a).unwrap(), pack(b).unwrap(), "n={}", n);
+                }
+                if n == 1 {
+                    assert_eq!(pack(&from_packed.shards[0]).unwrap(), input);
+                }
             }
         },
     );

@@ -35,7 +35,6 @@
 use crate::json::{self, Json};
 use crate::proto::{ErrorCode, Request};
 use crate::telemetry::ClientTelemetry;
-use probase_obs::Registry;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -225,14 +224,6 @@ impl Client {
             retries_spent: 0,
             telemetry: ClientTelemetry::new(),
         })
-    }
-
-    /// Record `serve.client.*` retry metrics into `registry` (pass the
-    /// server's registry in tests to see both sides of a fault in one
-    /// snapshot).
-    pub fn with_telemetry(mut self, registry: &Registry) -> Client {
-        self.telemetry = ClientTelemetry::with_registry(registry);
-        self
     }
 
     /// Retries spent so far against [`ClientConfig::retry_budget`].

@@ -62,12 +62,11 @@ use probase_obs::{Counter, Gauge, Histogram, Registry};
 use probase_prob::{annotate_graph_urns_touched, UrnsModel};
 use probase_store::sync::Mutex;
 use probase_store::wal::{read_wal, WalEntry, WalOp, WalSync, WalWriter};
-use probase_store::{merge_subgraph, remove_labels};
 use probase_store::{
-    ConceptGraph, GraphHandle, NodeId, PackedGraph, PackedOpenError, SharedStore, SnapshotError,
+    GraphHandle, NodeId, PackedGraph, PackedOpenError, SharedStore, SnapshotError,
 };
 use probase_taxonomy::{count_histogram, shift_count_histogram};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Component, Path, PathBuf};
@@ -201,37 +200,6 @@ fn parse_wal_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Replay one logged operation onto a graph. The serve write path only
-/// ever touches sense 0 for evidence, so replay does too. Migration
-/// records re-run their component surgery: an import re-merges the
-/// journaled payload, a drop re-removes. Replay is exactly-once by
-/// construction (records covered by the checkpoint are never replayed),
-/// so the merge cannot double-count. A payload that fails to validate
-/// (impossible past the record CRC short of a targeted collision) is
-/// skipped.
-fn apply_op(g: &mut ConceptGraph, op: &WalOp) {
-    match op {
-        WalOp::AddEvidence {
-            parent,
-            child,
-            count,
-        } => {
-            let p = g.ensure_node(parent, 0);
-            let c = g.ensure_node(child, 0);
-            g.add_evidence(p, c, *count);
-        }
-        WalOp::ImportComponent { payload, .. } => {
-            if let Ok(packed) = PackedGraph::from_vec(payload.clone()) {
-                merge_subgraph(g, &packed);
-            }
-        }
-        WalOp::DropComponent { labels, .. } => {
-            let set: HashSet<String> = labels.iter().cloned().collect();
-            *g = remove_labels(g, &set);
-        }
-    }
-}
-
 /// Write a checkpoint durably: temp file, fsync, rename, fsync the
 /// directory. Returns the final path.
 fn write_snapshot_file(dir: &Path, seq: u64, upto: u64, bytes: &[u8]) -> Result<PathBuf, String> {
@@ -362,7 +330,7 @@ impl Durability {
             // The first un-covered record thaws a packed base; a clean
             // packed restart (empty suffix) never reaches this line.
             let (g, _) = handle.make_mutable();
-            apply_op(g, &e.op);
+            e.op.apply(g);
             match &e.op {
                 WalOp::ImportComponent { labels, .. } => {
                     for l in labels {
@@ -483,25 +451,13 @@ impl Durability {
         Ok(self.dir.join(path))
     }
 
-    /// Append one evidence write to the log. Called by the router
-    /// *while holding the store write lock*, before the graph mutation:
-    /// an `Err` means nothing was acked and nothing may be applied.
-    pub fn append_evidence(&self, parent: &str, child: &str, count: u32) -> Result<(), String> {
-        self.append_op(WalOp::AddEvidence {
-            parent: parent.to_string(),
-            child: child.to_string(),
-            count,
-        })
-        .map(|_| ())
-    }
-
-    /// Append any durable operation to the log, returning the WAL index
-    /// it was assigned. Same contract as [`Durability::append_evidence`]:
-    /// called under the store write lock, before the matching graph
-    /// mutation; `Err` means nothing may be applied. Migration records
-    /// additionally maintain the imported-labels map the fleet
-    /// reconciler consults after a crash.
-    pub fn append_op(&self, op: WalOp) -> Result<u64, String> {
+    /// Append one durable operation to the log, returning the WAL index
+    /// it was assigned. Called by the router *while holding the store
+    /// write lock*, before the caller applies the same op with
+    /// [`WalOp::apply`]: an `Err` means nothing was acked and nothing
+    /// may be applied. Migration records additionally maintain the
+    /// imported-labels map the fleet reconciler consults after a crash.
+    pub fn append_op(&self, op: &WalOp) -> Result<u64, String> {
         let mut inner = self.wal.lock();
         if inner.poisoned {
             return Err(
@@ -510,7 +466,7 @@ impl Durability {
         }
         let entry = WalEntry {
             index: inner.next_index,
-            op,
+            op: op.clone(),
         };
         match inner.writer.append(&entry) {
             Ok(synced) => {
@@ -889,16 +845,6 @@ impl Durability {
         self.wal_replayed.get()
     }
 
-    /// Log rotations (open, rebuilds, rebases).
-    pub fn wal_rotations_total(&self) -> u64 {
-        self.wal_rotations.get()
-    }
-
-    /// Failed WAL appends (each one poisons the log until restart).
-    pub fn wal_append_errors_total(&self) -> u64 {
-        self.wal_append_errors.get()
-    }
-
     /// Completed background rebuilds.
     pub fn rebuild_runs_total(&self) -> u64 {
         self.rebuild_runs.get()
@@ -907,11 +853,6 @@ impl Durability {
     /// Failed rebuild attempts.
     pub fn rebuild_failures_total(&self) -> u64 {
         self.rebuild_failures.get()
-    }
-
-    /// Writes folded into rebuild checkpoints while they were running.
-    pub fn rebuild_folded_total(&self) -> u64 {
-        self.rebuild_folded.get()
     }
 
     /// Incremental fold passes that consumed at least the cursor check.
@@ -927,11 +868,6 @@ impl Durability {
     /// Already-consumed mirror records passed over by later folds.
     pub fn skipped_records_total(&self) -> u64 {
         self.rebuild_skipped.get()
-    }
-
-    /// Checkpoints written (open, rebuilds, rebases).
-    pub fn snapshots_written_total(&self) -> u64 {
-        self.rebuild_snapshots.get()
     }
 
     /// Packed (v2) checkpoints opened zero-copy by recovery (0 or 1).
@@ -1019,7 +955,7 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probase_store::pack;
+    use probase_store::{pack, ConceptGraph};
 
     fn tempdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("probase-dur-{}-{name}", std::process::id()));
@@ -1035,7 +971,6 @@ mod tests {
             let n = g.ensure_node(label, 0);
             g.add_evidence(country, n, count);
         }
-        g.rebuild_indexes();
         SharedStore::new(g)
     }
 
@@ -1050,12 +985,13 @@ mod tests {
 
     /// Mimic the router's write path: log first, then mutate the store.
     fn write_through(d: &Durability, store: &SharedStore, parent: &str, child: &str, count: u32) {
-        d.append_evidence(parent, child, count).expect("append");
-        store.update(|g| {
-            let p = g.ensure_node(parent, 0);
-            let c = g.ensure_node(child, 0);
-            g.add_evidence(p, c, count);
-        });
+        let op = WalOp::AddEvidence {
+            parent: parent.to_string(),
+            child: child.to_string(),
+            count,
+        };
+        d.append_op(&op).expect("append");
+        store.update(|g| op.apply(g));
     }
 
     fn edge_count(store: &SharedStore, parent: &str, child: &str) -> Option<u32> {
@@ -1214,7 +1150,6 @@ mod tests {
         let animal = fresh.ensure_node("animal", 0);
         let cat = fresh.ensure_node("cat", 0);
         fresh.add_evidence(animal, cat, 3);
-        fresh.rebuild_indexes();
         let fresh = PackedGraph::from_bytes(pack(&fresh).unwrap()).unwrap();
         let v = d.rebase(&store, fresh).expect("rebase succeeds");
         assert!(v > 0);

@@ -32,8 +32,8 @@ use probase_store::query::ancestors;
 use probase_store::sync::{Mutex, RwLock};
 use probase_store::wal::WalOp;
 use probase_store::{
-    component_labels, export_component, merge_subgraph, pack, remove_labels, ConceptGraph,
-    GraphHandle, GraphStats, LevelMap, NodeId, PackedGraph, SharedStore,
+    component_labels, export_component, pack, ConceptGraph, GraphHandle, GraphStats, LevelMap,
+    NodeId, PackedGraph, SharedStore,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::SocketAddr;
@@ -257,11 +257,6 @@ impl ServeState {
         &self.metrics
     }
 
-    /// Cached entry count (for the stats dump).
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// The model for the store's *current* version, rebuilding if a
     /// write moved the version since the last rebuild.
     fn current_model(&self) -> Arc<VersionedModel> {
@@ -434,6 +429,11 @@ impl ServeState {
                 )),
             );
         }
+        let op = WalOp::AddEvidence {
+            parent: parent.to_string(),
+            child: child.to_string(),
+            count,
+        };
         let (result, version) = self.store.update_versioned(|g| {
             // Reject cycles while holding the write lock (a cyclic
             // taxonomy would make `isa` answer true in both directions).
@@ -447,13 +447,15 @@ impl ServeState {
             // not durable, so it must not be acked or applied. Still
             // under the store write lock, so replay order == apply order.
             if let Some(d) = &self.durability {
-                if let Err(e) = d.append_evidence(parent, child, count) {
+                if let Err(e) = d.append_op(&op) {
                     return Err((ErrorCode::Internal, e));
                 }
             }
-            let p = g.ensure_node(parent, 0);
-            let c = g.ensure_node(child, 0);
-            let total = g.add_evidence(p, c, count);
+            op.apply(g);
+            let total = match (g.find_node(parent, 0), g.find_node(child, 0)) {
+                (Some(p), Some(c)) => g.edge(p, c).map_or(0, |e| e.count),
+                _ => 0,
+            };
             Ok(Json::obj(vec![
                 ("count", Json::num(total as f64)),
                 ("nodes", Json::num(g.node_count() as f64)),
@@ -578,20 +580,20 @@ impl ServeState {
                 ])),
             );
         }
-        let set: HashSet<String> = labels.iter().cloned().collect();
+        let op = WalOp::DropComponent {
+            target,
+            labels: labels.clone(),
+        };
         let (result, version) = self.store.update_versioned(|g| {
             // Log before mutating, same contract as add-evidence: an
             // append failure acks nothing and applies nothing.
             if let Some(d) = &self.durability {
-                if let Err(e) = d.append_op(WalOp::DropComponent {
-                    target,
-                    labels: labels.clone(),
-                }) {
+                if let Err(e) = d.append_op(&op) {
                     return Err((ErrorCode::Internal, e));
                 }
             }
             let before = g.edge_count();
-            *g = remove_labels(g, &set);
+            op.apply(g);
             Ok(Json::obj(vec![
                 ("labels", Json::Arr(labels.iter().map(Json::str).collect())),
                 ("dropped_edges", Json::num((before - g.edge_count()) as f64)),
@@ -634,9 +636,10 @@ impl ServeState {
     /// The `import-component` endpoint: validate the base64 packed
     /// payload, journal it (when durable — the import record is the
     /// migration's commit point, written *before* the graft so a crash
-    /// replays it), and merge the subgraph into this shard's graph.
-    /// Tombstones on the imported labels are lifted — the component is
-    /// home again.
+    /// replays it), and merge the subgraph into this shard's graph with
+    /// [`WalOp::apply`], the path WAL replay takes, so a restart rebuilds
+    /// the same insertion order. Tombstones on the imported labels are
+    /// lifted — the component is home again.
     fn import_component(&self, source: u32, payload: &str) -> (u64, Result<Json, HandlerError>) {
         let Some(bytes) = b64_decode(payload) else {
             return (
@@ -659,27 +662,27 @@ impl ServeState {
                 )
             }
         };
-        let sub = packed.unpack();
-        let labels: Vec<String> = sub
+        let labels: Vec<String> = packed
             .nodes()
-            .map(|n| sub.label(n).to_string())
+            .map(|n| packed.label(n).to_string())
             .collect::<BTreeSet<String>>()
             .into_iter()
             .collect();
+        let op = WalOp::ImportComponent {
+            source,
+            labels: labels.clone(),
+            payload: bytes,
+        };
         let (result, version) = self.store.update_versioned(|g| {
             if let Some(d) = &self.durability {
-                if let Err(e) = d.append_op(WalOp::ImportComponent {
-                    source,
-                    labels: labels.clone(),
-                    payload: bytes.clone(),
-                }) {
+                if let Err(e) = d.append_op(&op) {
                     return Err((ErrorCode::Internal, e));
                 }
             }
-            merge_subgraph(g, &sub);
+            op.apply(g);
             Ok(Json::obj(vec![
-                ("merged_nodes", Json::num(sub.node_count() as f64)),
-                ("merged_edges", Json::num(sub.edge_count() as f64)),
+                ("merged_nodes", Json::num(packed.node_count() as f64)),
+                ("merged_edges", Json::num(packed.edge_count() as f64)),
                 ("nodes", Json::num(g.node_count() as f64)),
             ]))
         });
@@ -1572,13 +1575,16 @@ mod tests {
     #[test]
     fn migration_ops_replay_and_reseed_tombstones_after_restart() {
         let dir = tempdir("migrate");
-        let payload = {
+        let (payload, before) = {
             let s = durable_state(&dir);
+            // pet→cat is journaled before animal→cat, but animal has the
+            // lower id: the packed payload's rows list animal→cat first.
             let mut g = ConceptGraph::new();
             let animal = g.ensure_node("animal", 0);
+            let pet = g.ensure_node("pet", 0);
             let cat = g.ensure_node("cat", 0);
+            g.add_evidence(pet, cat, 2);
             g.add_evidence(animal, cat, 4);
-            g.rebuild_indexes();
             let payload = crate::proto::b64_encode(&pack(&g).unwrap());
             ok(
                 &s,
@@ -1589,11 +1595,17 @@ mod tests {
             );
             let imported = s.durability().unwrap().imported_labels();
             assert!(imported.contains_key("animal") && imported.contains_key("cat"));
-            payload
+            let before = s.store().read(|g| g.to_packed_bytes().unwrap());
+            (payload, before)
             // Drop without a checkpoint: the import must replay.
         };
         {
             let s = durable_state(&dir);
+            assert_eq!(
+                s.store().read(|g| g.to_packed_bytes().unwrap()),
+                before,
+                "replaying the import rebuilds the live graph byte for byte"
+            );
             let (_, d) = ok(
                 &s,
                 Request::Isa {

@@ -175,11 +175,6 @@ impl ServeTelemetry {
         self.deadline_expired.get()
     }
 
-    /// Open connections right now (floored at 0).
-    pub fn connections_open_now(&self) -> u64 {
-        self.connections_open.get().max(0) as u64
-    }
-
     /// A job entered the queue.
     pub fn enqueued(&self) {
         self.queue_depth.inc();

@@ -36,7 +36,6 @@ fn seeded_store() -> SharedStore {
         let n = g.ensure_node(label, 0);
         g.add_evidence(country, n, count);
     }
-    g.rebuild_indexes();
     SharedStore::new(g)
 }
 

@@ -41,7 +41,6 @@ fn random_graph(seed: u64) -> ConceptGraph {
             g.set_plausibility(nodes[i], nodes[j], 0.25 + (rng.next() % 70) as f64 / 100.0);
         }
     }
-    g.rebuild_indexes();
     g
 }
 

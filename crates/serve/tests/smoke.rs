@@ -24,7 +24,6 @@ fn seeded_store() -> SharedStore {
         let n = g.ensure_node(label, 0);
         g.add_evidence(company, n, count);
     }
-    g.rebuild_indexes();
     SharedStore::new(g)
 }
 

@@ -1,26 +1,25 @@
-//! Label-component surgery for online shard migration.
+//! Graph surgery: the one way to copy a graph and the one way to find
+//! a label component.
 //!
 //! The router's partitioner places whole weakly-connected components of
 //! the *label* graph on one shard (all senses of a label travel
 //! together — see `probase-router`'s `partition`). When a write bridges
 //! two components that live on different shards, the smaller one has to
-//! move over the wire. These are the store-level pieces of that
-//! protocol:
+//! move over the wire. Every piece of that, and every other place a
+//! graph is copied, goes through two functions here:
 //!
-//! * [`component_labels`] — the label component containing a label,
-//!   discovered by the same connectivity rule the partitioner uses
-//!   (same-label senses are one unit; every edge connects its
-//!   endpoints' labels).
-//! * [`export_component`] — a standalone [`ConceptGraph`] holding
-//!   exactly that component, with node and edge insertion order
-//!   preserved *relative to the source graph* so per-label read answers
-//!   (children/parents iterate in edge order) stay byte-identical after
-//!   a move.
-//! * [`merge_subgraph`] — graft an exported component into another
-//!   graph, appending nodes and edges in the exported order.
-//! * [`remove_labels`] — rebuild a graph without a set of labels (the
-//!   drain side; `ConceptGraph` is append-only, so removal is a
-//!   filtered rebuild).
+//! * [`copy_graph`] — copies nodes in id order and edges in
+//!   [`GraphView::edges`] order (the recorded global insertion order, on
+//!   every representation) into the graph a per-node assignment picks.
+//!   [`export_component`], [`remove_labels`], [`merge_subgraph`],
+//!   `PackedGraph::unpack` and the partitioner's shard fill are all
+//!   calls to it, so a component answers byte-identically wherever it
+//!   is copied to: children/parents iterate in edge order, and the
+//!   paper's typicality and plausibility sums (§4.2) follow that order.
+//! * [`LabelComponents::expand`] — the connectivity rule: all senses of
+//!   a label are one unit, and every edge connects its endpoints'
+//!   labels, in both directions. [`component_labels`] seeds it once; the
+//!   partitioner seeds it from each unvisited node in id order.
 //!
 //! Invariant (property-tested in `probase-router`'s
 //! `partition_prop.rs`): `merge_subgraph(remove_labels(g, C), export(g,
@@ -30,77 +29,118 @@
 
 use crate::graph::{ConceptGraph, NodeId};
 use crate::view::GraphView;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Every label in the weakly-connected label component containing
-/// `label`, sorted by label bytes. Empty when the label has no node.
-///
-/// Connectivity matches the partitioner: all senses of one label are a
-/// single unit, and an edge connects its endpoints' labels.
-pub fn component_labels<G: GraphView>(g: &G, label: &str) -> Vec<String> {
-    if g.senses_of(label).is_empty() {
-        return Vec::new();
-    }
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut queue: VecDeque<String> = VecDeque::new();
-    seen.insert(label.to_string());
-    queue.push_back(label.to_string());
-    while let Some(current) = queue.pop_front() {
-        for node in g.senses_of(&current) {
-            let neighbors = g
-                .children(node)
-                .map(|(c, _)| c)
-                .chain(g.parents(node).map(|(p, _)| p));
-            for other in neighbors {
-                let other_label = g.label(other);
-                if !seen.contains(other_label) {
-                    seen.insert(other_label.to_string());
-                    queue.push_back(other_label.to_string());
-                }
+/// Copy `src` into the graphs of `dst`: node `n` goes to `dst[i]` when
+/// `assign(n)` is `Some(i)` and is left out on `None`. Nodes are ensured
+/// in id order and edges re-added in `src.edges()` order with exact
+/// counts and plausibility bits; an edge is copied when both endpoints
+/// go to the same graph. A label already in a destination merges into
+/// its existing node, and evidence accumulates on an existing edge.
+pub fn copy_graph<G: GraphView>(
+    src: &G,
+    dst: &mut [ConceptGraph],
+    mut assign: impl FnMut(NodeId) -> Option<usize>,
+) {
+    let map: Vec<Option<(usize, NodeId)>> = src
+        .nodes()
+        .map(|n| assign(n).map(|i| (i, dst[i].ensure_node(src.label(n), src.sense(n)))))
+        .collect();
+    for (from, to, data) in src.edges() {
+        if let (Some((i, f)), Some((j, t))) = (map[from.index()], map[to.index()]) {
+            if i == j {
+                dst[i].add_evidence(f, t, data.count);
+                dst[i].set_plausibility(f, t, data.plausibility);
             }
         }
     }
-    seen.into_iter().collect()
 }
 
-/// Extract the labels in `labels` into a standalone graph, preserving
-/// the source's node and edge insertion order among the extracted
-/// items. Edges are copied with their exact counts and plausibility
-/// bits. Edges with only one endpoint inside the set are *not* copied —
-/// callers pass a closed component, where that case cannot arise.
+/// Label connectivity over one graph. Each node belongs to exactly one
+/// component; [`LabelComponents::expand`] returns it the first time any
+/// of its nodes is asked for.
+pub struct LabelComponents<'g, G> {
+    graph: &'g G,
+    senses: HashMap<&'g str, Vec<NodeId>>,
+    seen: Vec<bool>,
+}
+
+impl<'g, G: GraphView> LabelComponents<'g, G> {
+    /// Index `graph`'s nodes by label; no component is expanded yet.
+    pub fn new(graph: &'g G) -> Self {
+        let mut senses: HashMap<&'g str, Vec<NodeId>> = HashMap::new();
+        for n in graph.nodes() {
+            senses.entry(graph.label(n)).or_default().push(n);
+        }
+        LabelComponents {
+            graph,
+            senses,
+            seen: vec![false; graph.node_count()],
+        }
+    }
+
+    /// Every node of the label component containing `seed`: all senses
+    /// of a label together, plus both directions of every edge. Empty
+    /// when an earlier call already returned `seed`'s component.
+    pub fn expand(&mut self, seed: NodeId) -> Vec<NodeId> {
+        let mut members: Vec<NodeId> = Vec::new();
+        self.visit(seed, &mut members);
+        let mut next = 0;
+        while next < members.len() {
+            let n = members[next];
+            next += 1;
+            let g = self.graph;
+            for (other, _) in g.children(n).chain(g.parents(n)) {
+                self.visit(other, &mut members);
+            }
+        }
+        members
+    }
+
+    /// Add every sense of `n`'s label to `members`, unless already seen.
+    fn visit(&mut self, n: NodeId, members: &mut Vec<NodeId>) {
+        if self.seen[n.index()] {
+            return;
+        }
+        for &s in &self.senses[self.graph.label(n)] {
+            self.seen[s.index()] = true;
+            members.push(s);
+        }
+    }
+}
+
+/// Every label in the weakly-connected label component containing
+/// `label`, sorted by label bytes. Empty when the label has no node.
+pub fn component_labels<G: GraphView>(g: &G, label: &str) -> Vec<String> {
+    let Some(&seed) = g.senses_of(label).first() else {
+        return Vec::new();
+    };
+    let labels: BTreeSet<&str> = LabelComponents::new(g)
+        .expand(seed)
+        .into_iter()
+        .map(|n| g.label(n))
+        .collect();
+    labels.into_iter().map(str::to_string).collect()
+}
+
+/// The labels in `labels` as a standalone graph, in the source's node
+/// and edge order. Edges with only one endpoint inside the set are *not*
+/// copied — callers pass a closed component, where that case cannot
+/// arise.
 pub fn export_component<G: GraphView>(g: &G, labels: &HashSet<String>) -> ConceptGraph {
     let mut sub = ConceptGraph::new();
-    let mut map: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    for n in g.nodes() {
-        if labels.contains(g.label(n)) {
-            map[n.index()] = Some(sub.ensure_node(g.label(n), g.sense(n)));
-        }
-    }
-    for (from, to, data) in g.edges() {
-        if let (Some(f), Some(t)) = (map[from.index()], map[to.index()]) {
-            sub.add_evidence(f, t, data.count);
-            sub.set_plausibility(f, t, data.plausibility);
-        }
-    }
+    copy_graph(g, std::slice::from_mut(&mut sub), |n| {
+        labels.contains(g.label(n)).then_some(0)
+    });
     sub
 }
 
-/// Graft `sub` onto `dst`: nodes are ensured in `sub`'s node order,
-/// edges re-added in `sub`'s edge order with exact counts and
-/// plausibility bits. Labels already present in `dst` merge into their
-/// existing nodes (evidence accumulates), so importing is tolerant of a
-/// half-completed earlier import.
+/// Graft `sub` onto `dst` in `sub`'s node and edge order. Labels already
+/// present in `dst` merge into their existing nodes (evidence
+/// accumulates), so importing is tolerant of a half-completed earlier
+/// import.
 pub fn merge_subgraph<G: GraphView>(dst: &mut ConceptGraph, sub: &G) {
-    let mut map: Vec<NodeId> = Vec::with_capacity(sub.node_count());
-    for n in sub.nodes() {
-        map.push(dst.ensure_node(sub.label(n), sub.sense(n)));
-    }
-    for (from, to, data) in sub.edges() {
-        let f = map[from.index()];
-        let t = map[to.index()];
-        dst.add_evidence(f, t, data.count);
-        dst.set_plausibility(f, t, data.plausibility);
-    }
+    copy_graph(sub, std::slice::from_mut(dst), |_| Some(0));
 }
 
 /// A copy of `g` without any node whose label is in `labels` (and
@@ -108,18 +148,9 @@ pub fn merge_subgraph<G: GraphView>(dst: &mut ConceptGraph, sub: &G) {
 /// order, so untouched components answer byte-identically afterwards.
 pub fn remove_labels<G: GraphView>(g: &G, labels: &HashSet<String>) -> ConceptGraph {
     let mut out = ConceptGraph::new();
-    let mut map: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    for n in g.nodes() {
-        if !labels.contains(g.label(n)) {
-            map[n.index()] = Some(out.ensure_node(g.label(n), g.sense(n)));
-        }
-    }
-    for (from, to, data) in g.edges() {
-        if let (Some(f), Some(t)) = (map[from.index()], map[to.index()]) {
-            out.add_evidence(f, t, data.count);
-            out.set_plausibility(f, t, data.plausibility);
-        }
-    }
+    copy_graph(g, std::slice::from_mut(&mut out), |n| {
+        (!labels.contains(g.label(n))).then_some(0)
+    });
     out
 }
 

@@ -251,23 +251,6 @@ impl ConceptGraph {
         self.nodes().filter(|&n| self.is_instance(n))
     }
 
-    /// Rebuild the lookup tables from the node and edge lists.
-    pub fn rebuild_indexes(&mut self) {
-        self.interner.rebuild_lookup();
-        self.by_key = self
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, NodeId(i as u32)))
-            .collect();
-        self.edge_index = self
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| ((e.from, e.to), i as u32))
-            .collect();
-    }
-
     /// Access the interner (read-only).
     pub fn interner(&self) -> &Interner {
         &self.interner
@@ -367,17 +350,5 @@ mod tests {
         let p1 = g.ensure_node("plant", 1);
         assert_eq!(g.display(p0), "plant");
         assert_eq!(g.display(p1), "plant#1");
-    }
-
-    #[test]
-    fn rebuild_indexes_restores_lookups() {
-        let g = sample();
-        let mut h = g.clone();
-        h.by_key.clear();
-        h.edge_index.clear();
-        h.rebuild_indexes();
-        let a = h.find_node("animal", 0).unwrap();
-        let c = h.find_node("cat", 0).unwrap();
-        assert_eq!(h.edge(a, c).unwrap().count, 10);
     }
 }

@@ -65,14 +65,6 @@ impl GraphHandle {
         }
     }
 
-    /// The packed graph, if that is the current representation.
-    pub fn as_packed(&self) -> Option<&PackedGraph> {
-        match self {
-            GraphHandle::Mutable(_) => None,
-            GraphHandle::Packed(p) => Some(p),
-        }
-    }
-
     /// An owned mutable [`ConceptGraph`] equivalent to this handle —
     /// a clone for `Mutable`, a thaw ([`PackedGraph::unpack`]) for
     /// `Packed`. Either way the result is structurally identical to the
@@ -194,8 +186,8 @@ impl GraphHandle {
         (0..self.node_count() as u32).map(NodeId)
     }
 
-    /// Iterate all edges `(from, to, data)`. Per-row order follows
-    /// `children`; the interleaving of rows is representation-defined.
+    /// Iterate all edges `(from, to, data)` in global insertion order,
+    /// on both representations.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeData)> + '_ {
         match self {
             GraphHandle::Mutable(g) => {

@@ -138,14 +138,6 @@ impl Interner {
         self.strings.is_empty()
     }
 
-    /// Rebuild the lookup table from the interned strings.
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = SymbolIndex::default();
-        for i in 0..self.strings.len() {
-            self.lookup.insert(Symbol(i as u32), &self.strings);
-        }
-    }
-
     /// Iterate `(Symbol, &str)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
         self.strings
@@ -191,18 +183,6 @@ mod tests {
         assert_eq!(i.len(), 0);
         i.intern("x");
         assert_eq!(i.get("x"), Some(Symbol(0)));
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_get() {
-        let mut i = Interner::new();
-        i.intern("a");
-        i.intern("b");
-        let mut j = i.clone();
-        j.lookup = SymbolIndex::default();
-        assert_eq!(j.get("b"), None);
-        j.rebuild_lookup();
-        assert_eq!(j.get("b"), Some(Symbol(1)));
     }
 
     #[test]

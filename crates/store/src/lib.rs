@@ -28,8 +28,8 @@
 //! * [`sync`] — `Mutex`/`RwLock` over std's that ignore lock poisoning.
 //! * [`wal`] — checksummed write-ahead log for durable serve-path writes.
 //! * [`shard`] — partitioned `shard-N/` durability layout for sharded serving.
-//! * [`component`] — label-component export/import/removal for online
-//!   shard migration.
+//! * [`component`] — graph surgery: the one graph-copy routine and the
+//!   one label-connectivity rule, behind partitioning, migration and thaw.
 
 #![warn(missing_docs)]
 
@@ -47,7 +47,9 @@ pub mod sync;
 pub mod view;
 pub mod wal;
 
-pub use component::{component_labels, export_component, merge_subgraph, remove_labels};
+pub use component::{
+    component_labels, copy_graph, export_component, merge_subgraph, remove_labels, LabelComponents,
+};
 pub use dot::{to_dot, DotOptions};
 pub use graph::{ConceptGraph, EdgeData, NodeId};
 pub use handle::GraphHandle;

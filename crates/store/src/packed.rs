@@ -58,6 +58,7 @@
 //! structural pass rejects files that are internally inconsistent, so a
 //! corrupt snapshot can never silently mis-answer.
 
+use crate::component::copy_graph;
 use crate::graph::{ConceptGraph, EdgeData, NodeId};
 use crate::hash::FxHashMap;
 use crate::view::GraphView;
@@ -783,11 +784,6 @@ impl PackedGraph {
         }
     }
 
-    /// Snapshot size in bytes.
-    pub fn snapshot_len(&self) -> usize {
-        self.layout.total_len
-    }
-
     /// True when the buffer is a file mapping rather than heap memory.
     pub fn is_mapped(&self) -> bool {
         match &self.buf {
@@ -984,14 +980,19 @@ impl PackedGraph {
         (0..self.layout.n_nodes as u32).map(NodeId)
     }
 
-    /// Iterate all edges `(from, to, data)` in row-major order.
+    /// Iterate all edges `(from, to, data)` in the recorded global
+    /// insertion order (the `edge_order` section) — the order
+    /// `ConceptGraph::edges` yields for the graph [`pack`] encoded.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeData)> + '_ {
-        self.nodes().flat_map(move |f| {
+        let mut owner = vec![0u32; self.layout.n_edges];
+        for f in self.nodes() {
             let (start, end) = self.out_range(f);
-            (start..end).map(move |e| {
-                let (to, data) = self.edge_at(e);
-                (f, to, data)
-            })
+            owner[start..end].fill(f.0);
+        }
+        (0..self.layout.n_edges).map(move |i| {
+            let e = u32_at(self.b(), self.layout.edge_order + 4 * i) as usize;
+            let (to, data) = self.edge_at(e);
+            (NodeId(owner[e]), to, data)
         })
     }
 
@@ -1005,32 +1006,15 @@ impl PackedGraph {
         self.nodes().filter(move |&n| self.is_instance(n))
     }
 
-    /// Thaw into a mutable [`ConceptGraph`]. Nodes are re-ensured in id
-    /// order (reproducing the original interner exactly, since every
-    /// symbol is first interned by `ensure_node`) and edges are replayed
-    /// in the recorded global insertion order, so the result is
-    /// structurally identical to the graph [`pack`] encoded —
-    /// `pack(&packed.unpack()) == packed.as_bytes()`.
+    /// Thaw into a mutable [`ConceptGraph`] with [`copy_graph`]: nodes
+    /// are re-ensured in id order (reproducing the original interner
+    /// exactly, since every symbol is first interned by `ensure_node`)
+    /// and edges are replayed in the recorded global insertion order, so
+    /// the result is structurally identical to the graph [`pack`]
+    /// encoded — `pack(&packed.unpack()) == packed.as_bytes()`.
     pub fn unpack(&self) -> ConceptGraph {
         let mut g = ConceptGraph::new();
-        for n in self.nodes() {
-            let id = g.ensure_node(self.label(n), self.sense(n));
-            debug_assert_eq!(id, n, "node ids must be dense and in order");
-        }
-        let mut owner = vec![0u32; self.layout.n_edges];
-        for f in self.nodes() {
-            let (start, end) = self.out_range(f);
-            for slot in &mut owner[start..end] {
-                *slot = f.0;
-            }
-        }
-        for i in 0..self.layout.n_edges {
-            let e = u32_at(self.b(), self.layout.edge_order + 4 * i) as usize;
-            let from = NodeId(owner[e]);
-            let (to, data) = self.edge_at(e);
-            g.add_evidence(from, to, data.count);
-            g.set_plausibility(from, to, data.plausibility);
-        }
+        copy_graph(self, std::slice::from_mut(&mut g), |_| Some(0));
         g
     }
 }

@@ -6,14 +6,16 @@
 //! contiguous mmap-backed [`PackedGraph`](crate::packed::PackedGraph).
 //! [`GraphView`] captures that read surface so both can serve it.
 //!
-//! Iteration-order contract: `children` and `parents` must yield edges in
-//! the same order as the `ConceptGraph` that produced the view (adjacency
-//! insertion order). Several downstream computations accumulate `f64`
-//! values while iterating, so a reordering — even one that is
-//! set-equivalent — would change low bits of served answers and break the
-//! byte-identity guarantees the snapshot and response-cache layers rely
-//! on. `edges` only promises per-row order; its global order is
-//! implementation-defined and must not feed order-sensitive float sums.
+//! Edge-order contract, the same on every representation: `children` and
+//! `parents` yield edges in adjacency insertion order, and `edges` yields
+//! them in global insertion order — the order the `ConceptGraph` that
+//! produced the view first saw each edge. Several downstream computations
+//! accumulate `f64` values while iterating, so a reordering — even one
+//! that is set-equivalent — would change low bits of served answers and
+//! break the byte-identity guarantees the snapshot and response-cache
+//! layers rely on. Every graph copy walks `edges`
+//! ([`copy_graph`](crate::component::copy_graph)), so a copy keeps both
+//! orders too.
 
 use crate::graph::{EdgeData, NodeId};
 
@@ -79,8 +81,7 @@ pub trait GraphView {
         (0..self.node_count() as u32).map(NodeId)
     }
 
-    /// Iterate all edges as `(from, to, data)`. Per-row order follows
-    /// `children`; the interleaving of rows is implementation-defined.
+    /// Iterate all edges as `(from, to, data)` in global insertion order.
     fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeData)> + '_;
 
     /// Concept nodes (non-leaves).

@@ -4,7 +4,7 @@
 //! iterative extraction accumulates Γ across runs); an in-memory-only
 //! write path loses every acked mutation on a crash. This module gives
 //! the serving layer a durable append log in the same zero-dependency
-//! style as [`crate::snapshot`]: a small binary format, explicit
+//! style as [`crate::packed`]: a small binary format, explicit
 //! checksums, and torn-tail tolerance instead of a framework.
 //!
 //! File layout (all integers little-endian):
@@ -26,7 +26,8 @@
 //! (see `probase-router`): the importing shard logs the whole transfer
 //! payload *before* applying it, the draining shard logs the drop before
 //! removing, so either side's crash recovery replays a consistent half
-//! that the fleet-level reconciler can finish.
+//! that the fleet-level reconciler can finish. Live writes and replay
+//! apply a record through the same function, [`WalOp::apply`].
 //!
 //! Every record carries a *global* monotone `index` assigned by the
 //! writer. Snapshots record the index they cover through, so recovery
@@ -41,6 +42,10 @@
 //! offset of the valid prefix so the caller can truncate before
 //! re-opening the file for append.
 
+use crate::component::{merge_subgraph, remove_labels};
+use crate::graph::ConceptGraph;
+use crate::packed::PackedGraph;
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -92,6 +97,40 @@ pub enum WalOp {
         /// Labels removed, sorted by label bytes.
         labels: Vec<String>,
     },
+}
+
+impl WalOp {
+    /// Apply this operation to `g`: the one path that live writes (after
+    /// their append) and WAL replay share, so a restarted node holds the
+    /// same graph, in the same insertion order, as before the crash.
+    /// Evidence goes to sense 0, the only sense the serve write path
+    /// touches. An import merges the journaled payload with
+    /// [`merge_subgraph`]; a drop rebuilds the graph without its labels.
+    /// An import payload that fails to validate (callers validate before
+    /// journaling, so only a targeted CRC collision could get one into
+    /// the log) changes nothing.
+    pub fn apply(&self, g: &mut ConceptGraph) {
+        match self {
+            WalOp::AddEvidence {
+                parent,
+                child,
+                count,
+            } => {
+                let p = g.ensure_node(parent, 0);
+                let c = g.ensure_node(child, 0);
+                g.add_evidence(p, c, *count);
+            }
+            WalOp::ImportComponent { payload, .. } => {
+                if let Ok(packed) = PackedGraph::from_vec(payload.clone()) {
+                    merge_subgraph(g, &packed);
+                }
+            }
+            WalOp::DropComponent { labels, .. } => {
+                let set: HashSet<String> = labels.iter().cloned().collect();
+                *g = remove_labels(g, &set);
+            }
+        }
+    }
 }
 
 /// A decoded log record: a global index plus the operation.

@@ -20,7 +20,6 @@ fn old_world() -> ConceptGraph {
     let india = g.ensure_node("India", 0);
     g.add_evidence(country, china, 8);
     g.add_evidence(country, india, 3);
-    g.rebuild_indexes();
     g
 }
 
@@ -34,7 +33,6 @@ fn new_world() -> ConceptGraph {
     g.add_evidence(company, msft, 10);
     g.add_evidence(company, apple, 7);
     g.add_evidence(fruit, apple_fruit, 4);
-    g.rebuild_indexes();
     g
 }
 

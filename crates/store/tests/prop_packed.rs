@@ -5,8 +5,10 @@
 //! and corruption without ever panicking.
 
 use probase_store::query::{ancestors, descendants, LevelMap};
-use probase_store::{pack, ConceptGraph, GraphHandle, GraphStats, NodeId, PackedGraph};
-use probase_testkit::prop::{check, float, int, vec_of, DEFAULT_CASES};
+use probase_store::{
+    pack, ConceptGraph, EdgeData, GraphHandle, GraphStats, GraphView, NodeId, PackedGraph,
+};
+use probase_testkit::prop::{check, check_with, float, int, vec_of, DEFAULT_CASES};
 use probase_testkit::XorShift;
 
 /// A random DAG with multi-sense labels and non-trivial plausibilities;
@@ -34,7 +36,19 @@ fn dag(r: &mut XorShift) -> ConceptGraph {
             g.set_plausibility(nodes[i], nodes[j], p);
         }
     }
-    g.rebuild_indexes();
+    g
+}
+
+/// Edges `b→t` then `a→t` with `a` < `b` by id: global insertion order
+/// differs from the packed rows' order, so a row-major `edges()` walk
+/// would put `a→t` first.
+fn insertion_order_differs_from_rows() -> ConceptGraph {
+    let mut g = ConceptGraph::new();
+    let a = g.ensure_node("a", 0);
+    let b = g.ensure_node("b", 0);
+    let t = g.ensure_node("t", 0);
+    g.add_evidence(b, t, 2);
+    g.add_evidence(a, t, 3);
     g
 }
 
@@ -49,10 +63,12 @@ fn dag_and_position(r: &mut XorShift) -> (ConceptGraph, u64) {
 
 /// The packed representation answers every read query exactly like
 /// the pointer graph it was packed from — same ids, same adjacency
-/// order, and bit-identical floats.
+/// order, the same global edge order as its thaw, and bit-identical
+/// floats.
 #[test]
 fn packed_view_is_equivalent() {
-    check(DEFAULT_CASES, dag, |g| {
+    let explicit = vec![insertion_order_differs_from_rows()];
+    check_with(explicit, DEFAULT_CASES, dag, |g| {
         let p = packed(&g);
         assert_eq!(p.node_count(), g.node_count());
         assert_eq!(p.edge_count(), g.edge_count());
@@ -80,6 +96,14 @@ fn packed_view_is_equivalent() {
             assert_eq!(pd.count, d.count);
             assert_eq!(pd.plausibility.to_bits(), d.plausibility.to_bits());
         }
+        let key = |(f, t, d): (NodeId, NodeId, EdgeData)| (f, t, d.count, d.plausibility.to_bits());
+        let thawed = p.unpack();
+        let packed_order: Vec<_> = p.edges().map(key).collect();
+        let thawed_order: Vec<_> = GraphView::edges(&thawed).map(key).collect();
+        assert_eq!(
+            packed_order, thawed_order,
+            "packed edges() walks the thaw's global insertion order"
+        );
     });
 }
 
