@@ -1,45 +1,20 @@
-//! E1: corpus-size scaling sweep, plus the CI stage-timing report.
+//! E1: corpus-size scaling sweep.
 //!
 //! ```sh
 //! exp_scaling                                   # default sweep
 //! exp_scaling --sizes 2000,4000,8000            # custom sizes
-//! exp_scaling --sizes ... --pipeline-out BENCH_PIPELINE.json
-//! exp_scaling --sizes ... --pipeline-out ... --gate   # fail on bad report
-//! exp_scaling --sizes ... --pipeline-out out.json --baseline BENCH_PIPELINE.json
 //! ```
-//!
-//! `--pipeline-out` writes the per-size stage-timing profiles (one
-//! isolated metric registry per size); `--gate` additionally runs
-//! `validate_pipeline` over the freshly written report and exits
-//! non-zero if it is structurally broken; `--baseline` compares the
-//! fresh report against a committed baseline with `compare_to_baseline`
-//! and exits non-zero on a trajectory regression — the CI bench-smoke
-//! job runs all three.
-
-use probase_bench::pipeline_report::{compare_to_baseline, scaling_profiles, validate_pipeline};
 
 const DEFAULT_SIZES: &[usize] = &[10_000, 20_000, 40_000, 80_000];
 
-struct Args {
-    sizes: Vec<usize>,
-    pipeline_out: Option<String>,
-    gate: bool,
-    baseline: Option<String>,
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        sizes: DEFAULT_SIZES.to_vec(),
-        pipeline_out: None,
-        gate: false,
-        baseline: None,
-    };
+fn parse_sizes(argv: &[String]) -> Result<Vec<usize>, String> {
+    let mut sizes = DEFAULT_SIZES.to_vec();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--sizes" => {
                 let v = it.next().ok_or("--sizes needs a comma-separated list")?;
-                args.sizes = v
+                sizes = v
                     .split(',')
                     .map(|s| {
                         s.trim()
@@ -47,83 +22,24 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                             .map_err(|_| format!("--sizes: not a number: {s:?}"))
                     })
                     .collect::<Result<_, _>>()?;
-                if args.sizes.is_empty() {
+                if sizes.is_empty() {
                     return Err("--sizes: need at least one size".into());
                 }
-            }
-            "--pipeline-out" => {
-                args.pipeline_out = Some(it.next().ok_or("--pipeline-out needs a path")?.clone());
-            }
-            "--gate" => args.gate = true,
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a path")?.clone());
             }
             other => return Err(format!("unknown option {other:?}")),
         }
     }
-    if args.gate && args.pipeline_out.is_none() {
-        return Err("--gate requires --pipeline-out".into());
-    }
-    if args.baseline.is_some() && args.pipeline_out.is_none() {
-        return Err("--baseline requires --pipeline-out".into());
-    }
-    Ok(args)
+    Ok(sizes)
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
+    let sizes = match parse_sizes(&argv) {
+        Ok(s) => s,
         Err(msg) => {
             eprintln!("error: {msg}");
             std::process::exit(2);
         }
     };
-    print!("{}", probase_bench::exp_scale::scaling_sweep(&args.sizes));
-    if let Some(path) = &args.pipeline_out {
-        let report = scaling_profiles(&args.sizes);
-        let text = report.to_string();
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("error: cannot write {path:?}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote pipeline report ({} bytes) to {path}", text.len());
-        if args.gate {
-            match validate_pipeline(&report) {
-                Ok(()) => eprintln!("pipeline gate: OK"),
-                Err(msg) => {
-                    eprintln!("pipeline gate: FAILED: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(baseline_path) = &args.baseline {
-            let text = match std::fs::read_to_string(baseline_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {baseline_path:?}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let baseline = match probase_obs::json::parse(&text) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("error: baseline {baseline_path:?} is not valid JSON: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match compare_to_baseline(&report, &baseline) {
-                Ok(warnings) => {
-                    for w in warnings {
-                        eprintln!("baseline gate: warning: {w}");
-                    }
-                    eprintln!("baseline gate: OK (vs {baseline_path})");
-                }
-                Err(msg) => {
-                    eprintln!("baseline gate: FAILED: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
+    print!("{}", probase_bench::exp_scale::scaling_sweep(&sizes));
 }

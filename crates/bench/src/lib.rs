@@ -12,4 +12,3 @@ pub mod exp_ablation;
 pub mod exp_apps;
 pub mod exp_precision;
 pub mod exp_scale;
-pub mod pipeline_report;

@@ -375,10 +375,9 @@ mod tests {
         assert_eq!(empty.max(), 0);
     }
 
-    /// Regression for the raw-vector percentile the loadgen used to
-    /// carry: `round(p * (len - 1))` returned the 6th element as the p50
-    /// of 10 samples. Nearest-rank over the exact linear region returns
-    /// the 5th.
+    /// Regression for a raw-vector percentile, `round(p * (len - 1))`,
+    /// which returned the 6th element as the p50 of 10 samples.
+    /// Nearest-rank over the exact linear region returns the 5th.
     #[test]
     fn histogram_small_sample_p50_is_not_off_by_one() {
         let h = Histogram::default();

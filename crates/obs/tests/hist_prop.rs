@@ -1,9 +1,9 @@
 //! Property tests for the HDR-style histogram: the log-bucketed
 //! quantile must stay within one bucket of the exact nearest-rank
-//! quantile on arbitrary inputs, never understating it. The serve SLO
-//! gate trusts these numbers (`BENCH_SERVE.json` p99/p99.9), so "within
-//! 1/SUB_BUCKETS above the truth" is a load-bearing guarantee, not a
-//! nicety.
+//! quantile on arbitrary inputs, never understating it. Every latency
+//! percentile the `stats` endpoint reports trusts these numbers, so
+//! "within 1/SUB_BUCKETS above the truth" is a load-bearing guarantee,
+//! not a nicety.
 
 use probase_obs::metric::{Histogram, SUB_BUCKETS};
 use probase_testkit::prop::{check, int, unit_inclusive, vec_of, DEFAULT_CASES};

@@ -28,7 +28,7 @@
 //! fleet is restarted in-process. Documented in DESIGN.md §18.
 
 use probase_serve::ServeState;
-use probase_store::{component_labels, LabelComponents};
+use probase_store::component_summary;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -107,7 +107,7 @@ pub fn reconcile_fleet(states: &[Arc<ServeState>]) -> Result<ReconcileReport, St
             if i == winner {
                 continue;
             }
-            let component = states[i].store().read(|g| component_labels(g, &label));
+            let (component, _) = states[i].store().read(|g| component_summary(g, &label));
             if component.is_empty() {
                 continue;
             }
@@ -122,19 +122,9 @@ pub fn reconcile_fleet(states: &[Arc<ServeState>]) -> Result<ReconcileReport, St
     Ok(report)
 }
 
-/// Edge count of the component containing `label` on one shard: the
-/// out-degrees of its nodes, since a component is closed under edges.
+/// Edge count of the component containing `label` on one shard.
 fn component_edges(state: &ServeState, label: &str) -> usize {
-    state.store().read(|g| {
-        let Some(&seed) = g.senses_of(label).first() else {
-            return 0;
-        };
-        LabelComponents::new(g)
-            .expand(seed)
-            .into_iter()
-            .map(|n| g.child_count(n))
-            .sum()
-    })
+    state.store().read(|g| component_summary(g, label).1)
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! TCP front end for the router.
 //!
 //! Speaks exactly the serve wire protocol (newline-delimited JSON, same
-//! request/envelope shapes), so every existing client — `probase-cli`
-//! REPL, `probase-loadgen`, the `Client` type — points at a router
-//! without modification. Each connection gets a reader thread; requests
+//! request/envelope shapes), so every existing client — the
+//! `probase-cli` REPL, the `Client` type — points at a router without
+//! modification. Each connection gets a reader thread; requests
 //! on one connection are handled serially (pipelining across
 //! connections, like the single-node server's per-connection ordering).
 

@@ -1,9 +1,9 @@
 //! A small blocking client for the newline-delimited JSON protocol,
 //! with configurable retries.
 //!
-//! One request, one response, in order — the closed-loop shape
-//! `probase-loadgen` and the tests use. (The server supports pipelining
-//! via response `id`s; this client simply doesn't need it.)
+//! One request, one response, in order — the closed-loop shape the
+//! tests use. (The server supports pipelining via response `id`s; this
+//! client simply doesn't need it.)
 //!
 //! ## Retry model
 //!

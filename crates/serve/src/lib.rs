@@ -23,10 +23,10 @@
 //!   request counts and latency histograms, cache hit rate, queue depth,
 //!   backpressure rejections — all registered as `serve.*` metrics in a
 //!   [`probase_obs::Registry`] and dumped by the `stats` endpoint;
-//! * a **blocking client** ([`client::Client`]) used by
-//!   `probase-loadgen`, the benches, and the tests — with configurable
-//!   retries (exponential backoff, jitter, a lifetime retry budget,
-//!   idempotent-reads-only; see [`client::ClientConfig`]).
+//! * a **blocking client** ([`client::Client`]) used by the benches and
+//!   the tests — with configurable retries (exponential backoff, jitter,
+//!   a lifetime retry budget, idempotent-reads-only; see
+//!   [`client::ClientConfig`]).
 //!
 //! The server side is hardened against hostile or broken peers: a
 //! max-connections admission guard, per-connection oversize-line limits,

@@ -91,7 +91,8 @@ pub enum Request {
         /// Optional label to look up.
         term: Option<String>,
     },
-    /// Sample node labels (loadgen uses this to build its key set).
+    /// Sample node labels (a load generator builds its key set from
+    /// them).
     Labels {
         /// Concepts or instances.
         kind: LabelKind,

@@ -32,7 +32,7 @@ use probase_store::query::ancestors;
 use probase_store::sync::{Mutex, RwLock};
 use probase_store::wal::WalOp;
 use probase_store::{
-    component_labels, export_component, pack, ConceptGraph, GraphHandle, GraphStats, LevelMap,
+    component_summary, export_component, pack, ConceptGraph, GraphHandle, GraphStats, LevelMap,
     NodeId, PackedGraph, SharedStore,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -201,7 +201,7 @@ impl ServeState {
         Self {
             store,
             cache: ResponseCache::new(cache_capacity, cache_shards),
-            metrics: ServeTelemetry::with_registry(registry),
+            metrics: ServeTelemetry::new(registry),
             model,
             assoc: Association::default(),
             durability,
@@ -514,7 +514,7 @@ impl ServeState {
                     )),
                 );
             };
-            let labels = self.store.read(|g| component_labels(g, label));
+            let (labels, _) = self.store.read(|g| component_summary(g, label));
             let (version, result) = self.drain_labels(labels, target);
             if result.is_ok() {
                 self.ship_to_replicas(&Request::ExportComponent {
@@ -527,16 +527,14 @@ impl ServeState {
             return (version, result);
         }
         let (result, version) = self.store.read_versioned(|g| {
-            let labels = component_labels(g, label);
-            let set: HashSet<String> = labels.iter().cloned().collect();
-            let sub = export_component(g, &set);
-            let edges = sub.edge_count();
+            let (labels, edges) = component_summary(g, label);
             let mut pairs = vec![
                 ("labels", Json::Arr(labels.iter().map(Json::str).collect())),
                 ("edges", Json::num(edges as f64)),
             ];
             if !labels_only && !labels.is_empty() {
-                let bytes = match pack(&sub) {
+                let set: HashSet<String> = labels.iter().cloned().collect();
+                let bytes = match pack(&export_component(g, &set)) {
                     Ok(b) => b,
                     Err(e) => {
                         return Err((
@@ -1441,6 +1439,8 @@ mod tests {
         );
         assert_eq!(d.get("edges").and_then(Json::as_u64), Some(9));
         let payload = d.get("payload").and_then(Json::as_str).unwrap().to_string();
+        let sub = PackedGraph::from_vec(b64_decode(&payload).unwrap()).unwrap();
+        assert_eq!(sub.edge_count(), 9, "edges counts the payload's edges");
         assert_eq!(s.store().version(), 0, "peek is a read");
         // labels_only skips the packing work.
         let (_, d) = ok(

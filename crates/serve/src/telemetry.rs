@@ -51,23 +51,12 @@ pub struct ServeTelemetry {
     connections_rejected: Arc<Counter>,
 }
 
-impl Default for ServeTelemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServeTelemetry {
-    /// Telemetry backed by a fresh, private registry (what tests want:
-    /// exact counter deltas with no cross-server pollution).
-    pub fn new() -> Self {
-        Self::with_registry(Arc::new(Registry::new()))
-    }
-
-    /// Telemetry recording into an existing registry — `probase-cli`
-    /// passes [`probase_obs::global`] so endpoint metrics land in the
-    /// same `--metrics-out` report as the pipeline stages.
-    pub fn with_registry(registry: Arc<Registry>) -> Self {
+    /// Telemetry recording into `registry` — `probase-cli` passes
+    /// [`probase_obs::global`] so endpoint metrics land in the same
+    /// `--metrics-out` report as the pipeline stages; tests pass a fresh
+    /// registry to read exact counter deltas.
+    pub fn new(registry: Arc<Registry>) -> Self {
         let endpoints = ENDPOINTS
             .iter()
             .map(|name| EndpointHandles {
@@ -291,10 +280,9 @@ impl ServeTelemetry {
 }
 
 /// Client-side retry telemetry: counters for retries attempted,
-/// reconnects performed, and calls that exhausted their retry budget.
-/// Registered as `serve.client.*` so a chaos test (or `probase-loadgen`)
-/// that shares one registry with the server gets both sides of every
-/// fault in a single snapshot.
+/// reconnects performed, and calls that exhausted their retry budget,
+/// registered as `serve.client.*`. A `Client` keeps them in a private
+/// registry and exposes them through `Client::telemetry`.
 #[derive(Debug)]
 pub struct ClientTelemetry {
     retries: Arc<Counter>,
@@ -360,7 +348,7 @@ mod tests {
 
     #[test]
     fn counters_flow_into_dump() {
-        let m = ServeTelemetry::new();
+        let m = ServeTelemetry::new(Arc::new(Registry::new()));
         m.record_request(1, Duration::from_micros(5), false); // isa
         m.record_request(1, Duration::from_micros(7), true);
         m.cache_hit();
@@ -400,14 +388,14 @@ mod tests {
 
     #[test]
     fn queue_depth_never_negative() {
-        let m = ServeTelemetry::new();
+        let m = ServeTelemetry::new(Arc::new(Registry::new()));
         m.dequeued();
         assert_eq!(m.queue_depth(), 0);
     }
 
     #[test]
     fn metrics_surface_in_the_registry_snapshot() {
-        let m = ServeTelemetry::new();
+        let m = ServeTelemetry::new(Arc::new(Registry::new()));
         m.record_request(1, Duration::from_micros(5), false); // isa
         m.cache_hit();
         let snap = m.registry().snapshot();
@@ -432,7 +420,7 @@ mod tests {
 
     #[test]
     fn robustness_counters_flow_into_dump() {
-        let m = ServeTelemetry::new();
+        let m = ServeTelemetry::new(Arc::new(Registry::new()));
         m.malformed_line();
         m.malformed_line();
         m.oversize_line();
@@ -474,8 +462,8 @@ mod tests {
     #[test]
     fn shared_registry_is_observed_by_both_handles() {
         let registry = Arc::new(Registry::new());
-        let a = ServeTelemetry::with_registry(registry.clone());
-        let b = ServeTelemetry::with_registry(registry);
+        let a = ServeTelemetry::new(registry.clone());
+        let b = ServeTelemetry::new(registry);
         a.cache_hit();
         b.cache_hit();
         assert_eq!(a.cache_hits_total(), 2);

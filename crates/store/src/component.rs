@@ -18,7 +18,7 @@
 //!   paper's typicality and plausibility sums (§4.2) follow that order.
 //! * [`LabelComponents::expand`] — the connectivity rule: all senses of
 //!   a label are one unit, and every edge connects its endpoints'
-//!   labels, in both directions. [`component_labels`] seeds it once; the
+//!   labels, in both directions. [`component_summary`] seeds it once; the
 //!   partitioner seeds it from each unvisited node in id order.
 //!
 //! Invariant (property-tested in `probase-router`'s
@@ -110,17 +110,18 @@ impl<'g, G: GraphView> LabelComponents<'g, G> {
 }
 
 /// Every label in the weakly-connected label component containing
-/// `label`, sorted by label bytes. Empty when the label has no node.
-pub fn component_labels<G: GraphView>(g: &G, label: &str) -> Vec<String> {
+/// `label`, sorted by label bytes, and the component's edge count — the
+/// out-degree sum of its nodes, since a component is closed under
+/// edges, so it equals the [`export_component`] copy's `edge_count()`
+/// without building that copy. Empty and 0 when the label has no node.
+pub fn component_summary<G: GraphView>(g: &G, label: &str) -> (Vec<String>, usize) {
     let Some(&seed) = g.senses_of(label).first() else {
-        return Vec::new();
+        return (Vec::new(), 0);
     };
-    let labels: BTreeSet<&str> = LabelComponents::new(g)
-        .expand(seed)
-        .into_iter()
-        .map(|n| g.label(n))
-        .collect();
-    labels.into_iter().map(str::to_string).collect()
+    let members = LabelComponents::new(g).expand(seed);
+    let edges = members.iter().map(|&n| g.child_count(n)).sum();
+    let labels: BTreeSet<&str> = members.into_iter().map(|n| g.label(n)).collect();
+    (labels.into_iter().map(str::to_string).collect(), edges)
 }
 
 /// The labels in `labels` as a standalone graph, in the source's node
@@ -202,18 +203,26 @@ mod tests {
     fn component_spans_senses_and_edges() {
         let g = fixture();
         // "bank" sense 0 hangs off fruit; sense 1 drags vault in too.
-        let c = component_labels(&g, "apple");
+        let (c, edges) = component_summary(&g, "apple");
         assert_eq!(c, vec!["apple", "bank", "fruit", "pear", "vault"]);
-        let c2 = component_labels(&g, "vault");
-        assert_eq!(c, c2, "same component from any member");
-        assert_eq!(component_labels(&g, "cat"), vec!["animal", "cat"]);
-        assert!(component_labels(&g, "nope").is_empty());
+        assert_eq!(
+            component_summary(&g, "vault"),
+            (c.clone(), edges),
+            "same component from any member"
+        );
+        // The edge count spans both "bank" senses and equals the
+        // exported copy's.
+        let set: HashSet<String> = c.into_iter().collect();
+        assert_eq!(edges, 4);
+        assert_eq!(edges, export_component(&g, &set).edge_count());
+        assert_eq!(component_summary(&g, "cat").0, vec!["animal", "cat"]);
+        assert_eq!(component_summary(&g, "nope"), (Vec::new(), 0));
     }
 
     #[test]
     fn export_then_remove_partitions_the_graph() {
         let g = fixture();
-        let labels: HashSet<String> = component_labels(&g, "cat").into_iter().collect();
+        let labels: HashSet<String> = component_summary(&g, "cat").0.into_iter().collect();
         let sub = export_component(&g, &labels);
         assert_eq!(sub.node_count(), 2);
         assert_eq!(sub.edge_count(), 1);
@@ -230,7 +239,7 @@ mod tests {
     #[test]
     fn export_preserves_plausibility_bits_and_counts() {
         let g = fixture();
-        let labels: HashSet<String> = component_labels(&g, "apple").into_iter().collect();
+        let labels: HashSet<String> = component_summary(&g, "apple").0.into_iter().collect();
         let sub = export_component(&g, &labels);
         let f = sub.find_node("fruit", 0).unwrap();
         let a = sub.find_node("apple", 0).unwrap();
@@ -257,7 +266,7 @@ mod tests {
     #[test]
     fn untouched_component_keeps_adjacency_order() {
         let g = fixture();
-        let gone: HashSet<String> = component_labels(&g, "cat").into_iter().collect();
+        let gone: HashSet<String> = component_summary(&g, "cat").0.into_iter().collect();
         let rest = remove_labels(&g, &gone);
         let fruit = rest.find_node("fruit", 0).unwrap();
         let kids: Vec<&str> = rest.children(fruit).map(|(c, _)| rest.label(c)).collect();
@@ -267,7 +276,7 @@ mod tests {
     #[test]
     fn roundtrips_through_snapshot_encoding() {
         let g = fixture();
-        let labels: HashSet<String> = component_labels(&g, "apple").into_iter().collect();
+        let labels: HashSet<String> = component_summary(&g, "apple").0.into_iter().collect();
         let sub = export_component(&g, &labels);
         let back = PackedGraph::from_bytes(pack(&sub).unwrap())
             .unwrap()

@@ -48,7 +48,7 @@ pub mod view;
 pub mod wal;
 
 pub use component::{
-    component_labels, copy_graph, export_component, merge_subgraph, remove_labels, LabelComponents,
+    component_summary, copy_graph, export_component, merge_subgraph, remove_labels, LabelComponents,
 };
 pub use dot::{to_dot, DotOptions};
 pub use graph::{ConceptGraph, EdgeData, NodeId};

@@ -29,9 +29,9 @@
 //! paper-to-module map, and `EXPERIMENTS.md` for the reproduced tables
 //! and figures.
 
-/// Open-loop traffic harness behind `probase-loadgen`: Poisson
-/// arrivals, named workload profiles, HDR latency capture, the
-/// `BENCH_SERVE.json` report, and the CI SLO gate.
+/// Seeded request streams for load generation: Poisson arrival
+/// schedules and named workload profiles, drawn from by perfbench's
+/// open-loop driver.
 pub mod loadgen;
 
 pub use probase_core::{

@@ -1,58 +1,17 @@
-//! The load-generating engine: open-loop Poisson arrivals, latency from
-//! *intended* send time.
+//! The open-loop arrival schedule: Poisson offsets drawn from a seed.
 //!
-//! The arrival schedule is fixed up front from the seed, workers drain
-//! it through a shared cursor, and a request that could not be sent on
-//! time is charged its full queueing delay. A server stall therefore
+//! The schedule is fixed up front, so a driver that drains it measures
+//! each latency from the *intended* send time and a server stall
 //! surfaces as the tail-latency cliff it really is, instead of silently
 //! reducing the offered load (coordinated omission).
 
-use super::profile::query_class;
-use super::{HarnessConfig, SeededRng, Vocab, Zipf};
-use probase_obs::Registry;
-use probase_serve::{Client, ClientConfig, ClientError, Request};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// What a run produced: latency histograms (in the registry) plus exact
-/// outcome counts.
-#[derive(Debug)]
-pub struct RunStats {
-    /// Latency histograms: `loadgen.overall.latency_us`,
-    /// `loadgen.endpoint.<name>.latency_us`,
-    /// `loadgen.class.<class>.latency_us`.
-    pub registry: Arc<Registry>,
-    /// Requests the schedule offered.
-    pub scheduled: u64,
-    /// Requests answered with an ok envelope.
-    pub completed: u64,
-    /// Well-formed error envelopes from the server.
-    pub server_errors: u64,
-    /// Transport/protocol failures (timeouts, broken pipes, bad frames).
-    pub transport_errors: u64,
-    /// Ok envelopes flagged degraded (sharded deployments only).
-    pub degraded: u64,
-    /// Reconnect attempts that failed.
-    pub connect_failures: u64,
-    /// Wall time from first scheduled arrival to last completion.
-    pub elapsed: Duration,
-}
-
-impl RunStats {
-    /// Completed ok-responses per second of wall time.
-    pub fn achieved_rate(&self) -> f64 {
-        if self.elapsed.as_secs_f64() <= 0.0 {
-            return 0.0;
-        }
-        self.completed as f64 / self.elapsed.as_secs_f64()
-    }
-}
+use super::SeededRng;
+use std::time::Duration;
 
 /// Draw a Poisson arrival schedule: offsets from run start, one per
-/// arrival, covering `duration` at `rate` requests/second. Exposed for
-/// the property tests — the mean inter-arrival gap must converge to
-/// `1/rate`.
+/// arrival, covering `duration` at `rate` requests/second. The mean
+/// inter-arrival gap converges to `1/rate` (property-tested in
+/// `tests/loadgen_open_loop.rs`).
 pub fn poisson_offsets(rate: f64, duration: Duration, rng: &mut SeededRng) -> Vec<Duration> {
     assert!(rate > 0.0, "offered rate must be positive");
     let horizon = duration.as_secs_f64();
@@ -67,265 +26,5 @@ pub fn poisson_offsets(rate: f64, duration: Duration, rng: &mut SeededRng) -> Ve
             return offsets;
         }
         offsets.push(Duration::from_secs_f64(t));
-    }
-}
-
-struct Outcome {
-    completed: u64,
-    server_errors: u64,
-    transport_errors: u64,
-    degraded: u64,
-    connect_failures: u64,
-}
-
-impl Outcome {
-    fn new() -> Outcome {
-        Outcome {
-            completed: 0,
-            server_errors: 0,
-            transport_errors: 0,
-            degraded: 0,
-            connect_failures: 0,
-        }
-    }
-
-    fn merge(&mut self, other: &Outcome) {
-        self.completed += other.completed;
-        self.server_errors += other.server_errors;
-        self.transport_errors += other.transport_errors;
-        self.degraded += other.degraded;
-        self.connect_failures += other.connect_failures;
-    }
-}
-
-fn client_config(cfg: &HarnessConfig) -> ClientConfig {
-    ClientConfig {
-        // No retries: a retried request would hide the very latency the
-        // harness exists to measure. Failures are counted instead.
-        max_retries: 0,
-        retry_budget: 0,
-        read_timeout: Some(cfg.read_timeout),
-        seed: cfg.seed,
-        ..ClientConfig::default()
-    }
-}
-
-/// Issue one request on `client` (reconnecting once if the connection
-/// has died) and account the outcome. Returns whether the server
-/// produced a well-formed envelope.
-fn issue(
-    client: &mut Option<Client>,
-    cfg: &HarnessConfig,
-    req: &Request,
-    outcome: &mut Outcome,
-) -> bool {
-    if client.is_none() {
-        match Client::connect_with(&cfg.addr, client_config(cfg)) {
-            Ok(c) => *client = Some(c),
-            Err(_) => {
-                outcome.connect_failures += 1;
-                outcome.transport_errors += 1;
-                return false;
-            }
-        }
-    }
-    let c = client.as_mut().expect("client connected above");
-    match c.call(req) {
-        Ok(env) => {
-            if env.error.is_some() {
-                outcome.server_errors += 1;
-            } else {
-                outcome.completed += 1;
-                if env.degraded {
-                    outcome.degraded += 1;
-                }
-            }
-            true
-        }
-        Err(err) => {
-            outcome.transport_errors += 1;
-            // Drop the connection on transport-level damage so the next
-            // request starts clean; server-signalled errors above keep it.
-            if matches!(
-                err,
-                ClientError::Io(_)
-                    | ClientError::Protocol(_)
-                    | ClientError::RetriesExhausted { .. }
-            ) {
-                *client = None;
-            }
-            false
-        }
-    }
-}
-
-struct Recorder<'a> {
-    registry: &'a Registry,
-}
-
-impl Recorder<'_> {
-    fn record(&self, endpoint: &str, latency: Duration) {
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.registry
-            .histogram("loadgen.overall.latency_us")
-            .record(us);
-        self.registry
-            .histogram(&format!("loadgen.endpoint.{endpoint}.latency_us"))
-            .record(us);
-        self.registry
-            .histogram(&format!(
-                "loadgen.class.{}.latency_us",
-                query_class(endpoint)
-            ))
-            .record(us);
-    }
-}
-
-/// Run the harness against a live server and return its stats.
-///
-/// The full arrival schedule (times *and* requests) is drawn from
-/// `cfg.seed` before the clock starts, workers drain it through a shared
-/// cursor, and each latency is measured from the scheduled arrival
-/// time.
-pub fn run(cfg: &HarnessConfig, vocab: &Vocab) -> Result<RunStats, String> {
-    if vocab.is_empty() {
-        return Err("empty vocabulary: server returned no labels".to_string());
-    }
-    if cfg.threads == 0 {
-        return Err("need at least one worker thread".to_string());
-    }
-    if cfg.rate <= 0.0 {
-        return Err("offered rate must be positive".to_string());
-    }
-    let registry = Arc::new(Registry::new());
-    let zipf_concepts = Zipf::new(vocab.concepts.len(), cfg.zipf);
-    let mut outcome = Outcome::new();
-    let start = Instant::now();
-
-    // Draw the whole run up front: arrival offsets, then one request per
-    // arrival, all from the same seed.
-    let mut rng = SeededRng::new(cfg.seed);
-    let offsets = poisson_offsets(cfg.rate, cfg.duration, &mut rng);
-    let mut write_seq = 0u64;
-    let schedule: Vec<(Duration, &'static str, Request)> = offsets
-        .into_iter()
-        .map(|off| {
-            let (name, req) =
-                cfg.profile
-                    .sample(&mut rng, &zipf_concepts, vocab, "o", &mut write_seq);
-            (off, name, req)
-        })
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    let outcomes: Vec<Outcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|_| {
-                let schedule = &schedule;
-                let cursor = &cursor;
-                let registry = &registry;
-                scope.spawn(move || {
-                    let recorder = Recorder {
-                        registry: registry.as_ref(),
-                    };
-                    let mut local = Outcome::new();
-                    let mut client = None;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((offset, name, req)) = schedule.get(i) else {
-                            break;
-                        };
-                        let intended = start + *offset;
-                        let now = Instant::now();
-                        if intended > now {
-                            std::thread::sleep(intended - now);
-                        }
-                        if issue(&mut client, cfg, req, &mut local) {
-                            // Latency from the *intended* send time:
-                            // queueing delay behind a stall is part of
-                            // the number.
-                            recorder.record(name, intended.elapsed());
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen worker panicked"))
-            .collect()
-    });
-    for o in &outcomes {
-        outcome.merge(o);
-    }
-
-    Ok(RunStats {
-        registry,
-        scheduled: schedule.len() as u64,
-        completed: outcome.completed,
-        server_errors: outcome.server_errors,
-        transport_errors: outcome.transport_errors,
-        degraded: outcome.degraded,
-        connect_failures: outcome.connect_failures,
-        elapsed: start.elapsed(),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn poisson_offsets_are_deterministic_sorted_and_bounded() {
-        let mut a = SeededRng::new(99);
-        let mut b = SeededRng::new(99);
-        let one = poisson_offsets(200.0, Duration::from_secs(2), &mut a);
-        let two = poisson_offsets(200.0, Duration::from_secs(2), &mut b);
-        assert_eq!(one, two, "same seed must yield the same schedule");
-        assert!(
-            one.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be sorted"
-        );
-        assert!(one.iter().all(|o| *o < Duration::from_secs(2)));
-        // ~400 expected arrivals; Poisson sd is ±20, allow 5 sd.
-        assert!((300..500).contains(&one.len()), "got {}", one.len());
-    }
-
-    #[test]
-    fn poisson_mean_rate_matches_offered_rate() {
-        for seed in [1u64, 42, 0xCAFE_BABE] {
-            let mut rng = SeededRng::new(seed);
-            let rate = 1000.0;
-            let offsets = poisson_offsets(rate, Duration::from_secs(10), &mut rng);
-            let achieved = offsets.len() as f64 / 10.0;
-            assert!(
-                (achieved - rate).abs() / rate < 0.05,
-                "seed {seed}: achieved {achieved} vs offered {rate}"
-            );
-        }
-    }
-
-    #[test]
-    fn run_rejects_bad_configs() {
-        let vocab = Vocab {
-            concepts: vec!["a".to_string()],
-            instances: vec!["b".to_string()],
-        };
-        let empty = Vocab {
-            concepts: vec![],
-            instances: vec![],
-        };
-        let cfg = HarnessConfig::default();
-        assert!(run(&cfg, &empty).is_err());
-        let zero_threads = HarnessConfig {
-            threads: 0,
-            ..HarnessConfig::default()
-        };
-        assert!(run(&zero_threads, &vocab).is_err());
-        let bad_rate = HarnessConfig {
-            rate: 0.0,
-            ..HarnessConfig::default()
-        };
-        assert!(run(&bad_rate, &vocab).is_err());
     }
 }

@@ -1,95 +1,32 @@
-//! The open-loop traffic harness behind `probase-loadgen`.
+//! Request streams for load generation: what perfbench's open-loop
+//! driver and the booted-binary test send to a server.
 //!
 //! Probase's serving claims (§6: applications driven by Bing query-log
-//! traffic) only mean something under realistic load, and the classic
-//! failure of naive load generators is **coordinated omission**: a
-//! closed-loop worker that waits for each response before sending the
-//! next request stops *offering* load the moment the server stalls, so
-//! the stall shows up as one slow sample instead of the hundreds of
-//! requests that real users would have sent into the stall. This module
-//! measures the system the way its users experience it:
+//! traffic) only mean something under realistic load. This module holds
+//! the seeded pieces a load generator draws from; the driver that sends
+//! and times them lives in `perfbench/`:
 //!
-//! * **Open-loop arrivals** ([`engine`]) — requests arrive on a Poisson
-//!   schedule at a configured offered rate, and every latency is
-//!   measured from the request's *intended* send time, not its actual
-//!   send time. A server stall therefore inflates the tail of the
-//!   distribution by exactly the backlog it caused. It is the only
-//!   mode: a closed-loop run cannot support a latency claim.
+//! * **Poisson arrivals** ([`engine::poisson_offsets`]) — an open-loop
+//!   schedule at a fixed offered rate. A driver measures each latency
+//!   from the request's *intended* send time, so a server stall is
+//!   charged to every request scheduled into it instead of hiding as one
+//!   slow sample (coordinated omission).
 //! * **Named workload profiles** ([`profile`]) — `read-heavy`,
 //!   `write-heavy`, `mixed`, and `conceptualize` mixes over the wire
 //!   protocol's endpoints, modeled on the paper's query-log
 //!   substitution, with zipfian key skew so caches are exercised
 //!   honestly.
-//! * **HDR latency capture** — all latencies land in
-//!   [`probase_obs::Histogram`]s (p50/p90/p99/p99.9 + exact max at
-//!   ~3% resolution), replacing the raw-vector percentile math that was
-//!   off-by-one at small sample counts.
-//! * **Machine-readable reports and an SLO gate** ([`report`]) — the
-//!   run renders to a deterministic `BENCH_SERVE.json` document
-//!   (per-endpoint and per-query-class percentiles, achieved vs offered
-//!   rate, error/degraded counts), which CI gates against a committed
-//!   baseline and a stated p99/throughput SLO.
 //!
 //! Randomness is a self-contained xorshift64* / SplitMix64 pair — the
 //! same generators `probase-testkit` and the client's retry jitter use —
-//! so a seed replays the whole run's request stream exactly.
+//! so a seed replays the whole request stream exactly.
 //!
-//! See DESIGN.md §15 for the methodology and the CI protocol.
+//! See DESIGN.md §15 for the methodology.
 
 pub mod engine;
 pub mod profile;
-pub mod report;
 
-pub use engine::{run, RunStats};
 pub use profile::{Profile, Vocab, Zipf};
-pub use report::{
-    check_slo, compare_serve_baseline, diff_serve_reports, render_report, validate_serve_report,
-    Slo,
-};
-
-use std::time::Duration;
-
-/// Everything a harness run needs besides the vocabulary.
-#[derive(Debug, Clone)]
-pub struct HarnessConfig {
-    /// Server (or router front door) address.
-    pub addr: String,
-    /// Whether `addr` is a shard router — turns on per-query-class
-    /// reporting in the rendered document.
-    pub router: bool,
-    /// Offered rate: Poisson arrivals, requests per second (> 0).
-    pub rate: f64,
-    /// The workload mix.
-    pub profile: Profile,
-    /// Worker connections. This caps in-flight concurrency: if all
-    /// workers are busy, scheduled arrivals queue and their waiting time
-    /// is *measured* (that is the point).
-    pub threads: usize,
-    /// Run length: the schedule holds `rate × duration` arrivals.
-    pub duration: Duration,
-    /// Zipfian skew of key choice.
-    pub zipf: f64,
-    /// Seed for the arrival schedule and the request stream.
-    pub seed: u64,
-    /// Per-request socket read timeout (bounds a blackholed request).
-    pub read_timeout: Duration,
-}
-
-impl Default for HarnessConfig {
-    fn default() -> Self {
-        HarnessConfig {
-            addr: "127.0.0.1:7878".to_string(),
-            router: false,
-            rate: 100.0,
-            profile: Profile::Mixed,
-            threads: 4,
-            duration: Duration::from_secs(10),
-            zipf: 1.0,
-            seed: 42,
-            read_timeout: Duration::from_secs(5),
-        }
-    }
-}
 
 /// Seeded xorshift64* generator, mixed through SplitMix64 — the exact
 /// pair `probase-testkit` uses, so loadgen runs replay like chaos runs.

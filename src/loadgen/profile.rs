@@ -8,10 +8,9 @@
 //!   `typicality`, `plausibility`, `levels`) dominate, writes are rare.
 //! * `write-heavy` — a continuously-ingesting deployment: half the
 //!   traffic is `add-evidence`, exercising the WAL/ack path under load.
-//! * `mixed` — the CI default: every endpoint class, 10% writes — close
-//!   to the "many applications sharing one taxonomy service" story of
-//!   §5.3, and the profile the committed `BENCH_SERVE.json` baseline
-//!   pins.
+//! * `mixed` — every endpoint class, 10% writes — close to the "many
+//!   applications sharing one taxonomy service" story of §5.3, and the
+//!   profile perfbench and the booted-binary test drive.
 //! * `conceptualize` — short-text understanding (§5.3.2): bag-of-terms
 //!   conceptualization and search rewriting, the scatter-gather-heavy
 //!   workload that stresses a sharded deployment's fan-out path.
@@ -19,21 +18,14 @@
 use super::SeededRng;
 use probase_serve::{Direction, Request};
 
-/// The label vocabulary a run draws its keys from, fetched from the
-/// target server at startup (or supplied directly in tests).
+/// The label vocabulary a run draws its keys from: the target's labels
+/// (fetched over the wire or read from the snapshot).
 #[derive(Debug, Clone)]
 pub struct Vocab {
     /// Concept labels (used as parents / typicality subjects).
     pub concepts: Vec<String>,
     /// Instance labels (used as children / conceptualize inputs).
     pub instances: Vec<String>,
-}
-
-impl Vocab {
-    /// True when either side is empty (the harness refuses to run).
-    pub fn is_empty(&self) -> bool {
-        self.concepts.is_empty() || self.instances.is_empty()
-    }
 }
 
 /// Precomputed zipfian CDF over ranks `0..n`: rank i has weight

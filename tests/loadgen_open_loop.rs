@@ -1,154 +1,14 @@
-//! The load-bearing claim of the open-loop harness: latency is measured
-//! from each request's *intended* send time, so a server stall surfaces
-//! as the queueing delay it inflicts on every request scheduled behind
-//! it. A closed-loop generator — which only sends the next request after
-//! the previous one returns — would record the same stall as a single
-//! slow sample and bury it (coordinated omission).
-//!
-//! The test boots a stub TCP server that answers the wire protocol
-//! instantly except for one injected 400ms stall, then drives it and
-//! checks that the p99 carries the stall's backlog.
+//! The open-loop arrival schedule behind perfbench's load driver:
+//! Poisson offsets at a fixed offered rate, drawn from a seed. A driver
+//! measures each latency from the offset a request was scheduled at, so
+//! the offered-rate claim of a run rests on these properties.
 
-use probase::loadgen::{engine, run, HarnessConfig, Profile, SeededRng, Vocab};
-use probase_serve::json;
-use probase_serve::proto::ok_envelope;
-use probase_serve::Json;
+use probase::loadgen::{engine, SeededRng};
 use probase_testkit::prop::{check, float, int};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// A stub server speaking the newline-delimited envelope protocol: it
-/// echoes an empty ok-envelope for every request, instantly — except
-/// the `stall_at`-th request overall, which sleeps `stall` first.
-/// Answers from a fixed fake store version; the loadgen only reads the
-/// envelope frame, never the payload.
-fn stub_server(stall_at: usize, stall: Duration) -> (String, Arc<AtomicUsize>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub server");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let served = Arc::new(AtomicUsize::new(0));
-    let served_out = Arc::clone(&served);
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(conn) = conn else { break };
-            let served = Arc::clone(&served);
-            std::thread::spawn(move || {
-                let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
-                let mut writer = conn;
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    match reader.read_line(&mut line) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {}
-                    }
-                    let id = json::parse(&line)
-                        .ok()
-                        .and_then(|req| req.get("id").and_then(Json::as_u64))
-                        .unwrap_or(0);
-                    let n = served.fetch_add(1, Ordering::SeqCst) + 1;
-                    if n == stall_at {
-                        std::thread::sleep(stall);
-                    }
-                    let reply = ok_envelope(id, 1, Json::obj(vec![])).to_string();
-                    if writer.write_all(format!("{reply}\n").as_bytes()).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    // Wait until the listener actually accepts.
-    for _ in 0..50 {
-        if TcpStream::connect(&addr).is_ok() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    (addr, served_out)
-}
-
-fn vocab() -> Vocab {
-    Vocab {
-        concepts: (0..4).map(|i| format!("concept-{i}")).collect(),
-        instances: (0..4).map(|i| format!("instance-{i}")).collect(),
-    }
-}
-
-fn p99_ms(stats: &probase::loadgen::RunStats) -> f64 {
-    stats
-        .registry
-        .histogram("loadgen.overall.latency_us")
-        .quantile(0.99) as f64
-        / 1000.0
-}
-
-/// The acceptance-criteria test: with an injected server stall, the
-/// p99 reflects the backlog the stall created, not the per-request
-/// service time of an instant stub. If someone "simplifies" the engine
-/// to measure from actual send time, this fails.
-#[test]
-fn open_loop_surfaces_a_stall_as_backlog() {
-    let stall = Duration::from_millis(400);
-
-    // 400 req/s for 1.2s, one worker. The ~200th request (≈0.5s in)
-    // stalls 400ms; every arrival scheduled during the stall queues
-    // behind it, and their latency is charged from the schedule.
-    let (addr, _) = stub_server(200, stall);
-    let cfg = HarnessConfig {
-        addr,
-        rate: 400.0,
-        profile: Profile::Mixed,
-        threads: 1,
-        duration: Duration::from_millis(1200),
-        seed: 7,
-        ..HarnessConfig::default()
-    };
-    let stats = run(&cfg, &vocab()).expect("open-loop run");
-    assert!(
-        stats.completed >= 300,
-        "stub should answer most of ~480 scheduled: {stats:?}"
-    );
-    let p99 = p99_ms(&stats);
-    assert!(
-        p99 >= 60.0,
-        "open-loop p99 must carry the stall backlog, got {p99:.2}ms"
-    );
-}
-
-/// Same seed ⇒ same schedule and request stream ⇒ identical request
-/// counts against a deterministic server.
-#[test]
-fn open_loop_run_is_seed_deterministic() {
-    let (addr, served) = stub_server(usize::MAX, Duration::ZERO);
-    let cfg = HarnessConfig {
-        addr,
-        rate: 300.0,
-        profile: Profile::ReadHeavy,
-        threads: 2,
-        duration: Duration::from_millis(500),
-        seed: 1234,
-        ..HarnessConfig::default()
-    };
-    let one = run(&cfg, &vocab()).expect("first run");
-    let after_one = served.load(Ordering::SeqCst);
-    let two = run(&cfg, &vocab()).expect("second run");
-    let after_two = served.load(Ordering::SeqCst);
-    assert_eq!(one.scheduled, two.scheduled, "same seed, same schedule");
-    assert_eq!(one.completed, two.completed);
-    assert_eq!(
-        after_one, one.completed as usize,
-        "server saw every completed request"
-    );
-    assert_eq!(after_two - after_one, two.completed as usize);
-}
 
 /// Poisson arrivals: over a long horizon the mean inter-arrival gap
 /// must converge to `1/rate` (±10%), for arbitrary rates and seeds.
-/// This is the property the offered-rate claim in BENCH_SERVE.json
-/// rests on.
 #[test]
 fn poisson_mean_inter_arrival_matches_rate() {
     check(
@@ -184,7 +44,8 @@ fn poisson_mean_inter_arrival_matches_rate() {
     );
 }
 
-/// Offsets are sorted and within the horizon for any rate/seed.
+/// Offsets are sorted, within the horizon, and the same for the same
+/// seed, for any rate/seed.
 #[test]
 fn poisson_offsets_sorted_and_bounded() {
     check(
@@ -194,6 +55,8 @@ fn poisson_offsets_sorted_and_bounded() {
             let mut rng = SeededRng::new(seed);
             let horizon = Duration::from_secs(2);
             let offsets = engine::poisson_offsets(rate, horizon, &mut rng);
+            let again = engine::poisson_offsets(rate, horizon, &mut SeededRng::new(seed));
+            assert_eq!(offsets, again, "same seed must yield the same schedule");
             assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
             assert!(offsets.iter().all(|o| *o < horizon));
         },

@@ -1,7 +1,8 @@
 //! End-to-end observability: a pipeline run handed the process-global
 //! registry records into it, and its snapshot — exactly what
 //! `probase-cli --metrics-out` writes — carries the per-iteration extract
-//! spans, all three taxonomy merge phases, and the store swap count.
+//! spans, all three taxonomy merge phases, the store swap count, and a
+//! parsed-sentence count equal to the corpus size.
 
 use probase::corpus::{CorpusConfig, WorldConfig};
 use probase::obs::{global, Json};
@@ -9,7 +10,7 @@ use probase::store::SharedStore;
 use probase::{ProbaseConfig, Simulation};
 
 #[test]
-fn global_snapshot_carries_the_full_pipeline_report() {
+fn global_snapshot_carries_every_stage_and_the_sentence_count() {
     let sim = Simulation::run(
         &WorldConfig::small(7),
         &CorpusConfig {
@@ -52,6 +53,13 @@ fn global_snapshot_carries_the_full_pipeline_report() {
     }
 
     let counters = report.get("counters").expect("counters section");
+    // The pipeline saw exactly the corpus it was given.
+    assert_eq!(
+        counters
+            .get("extract.sentences_parsed")
+            .and_then(Json::as_u64),
+        Some(2_000)
+    );
     for name in [
         "extract.sentences_parsed",
         "extract.pairs_committed",
