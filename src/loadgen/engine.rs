@@ -28,3 +28,38 @@ pub fn poisson_offsets(rate: f64, duration: Duration, rng: &mut SeededRng) -> Ve
         offsets.push(Duration::from_secs_f64(t));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn poisson_offsets_are_deterministic_sorted_and_bounded() {
+        let mut a = SeededRng::new(99);
+        let mut b = SeededRng::new(99);
+        let one = poisson_offsets(200.0, Duration::from_secs(2), &mut a);
+        let two = poisson_offsets(200.0, Duration::from_secs(2), &mut b);
+        assert_eq!(one, two, "same seed must yield the same schedule");
+        assert!(
+            one.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must be sorted"
+        );
+        assert!(one.iter().all(|o| *o < Duration::from_secs(2)));
+        // ~400 expected arrivals; Poisson sd is ±20, allow 5 sd.
+        assert!((300..500).contains(&one.len()), "got {}", one.len());
+    }
+
+    #[test]
+    fn poisson_mean_rate_matches_offered_rate() {
+        for seed in [1u64, 42, 0xCAFE_BABE] {
+            let mut rng = SeededRng::new(seed);
+            let rate = 1000.0;
+            let offsets = poisson_offsets(rate, Duration::from_secs(10), &mut rng);
+            let achieved = offsets.len() as f64 / 10.0;
+            assert!(
+                (achieved - rate).abs() / rate < 0.05,
+                "seed {seed}: achieved {achieved} vs offered {rate}"
+            );
+        }
+    }
+}
